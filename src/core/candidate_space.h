@@ -113,6 +113,11 @@ class CandidateSpace {
   /// offsets mutate in place; value buffers are rebuilt by the sampler).
   const SuffStatsLayout& layout() const { return layout_; }
   const CandidateView& view(graph::UserId u) const { return views_[u]; }
+  /// Every user's active candidates, concatenated in layout() order — the
+  /// city behind each flat ϕ slot.
+  const std::vector<geo::CityId>& active_candidates() const {
+    return candidates_;
+  }
   uint64_t layout_version() const { return version_; }
   int64_t active_size() const { return layout_.phi_size(); }
   /// Fraction of the full universe still active (1.0 before any prune).

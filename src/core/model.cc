@@ -19,6 +19,33 @@ namespace mlp {
 namespace core {
 
 namespace {
+
+/// Tiles a call into consecutive stage spans: Next() closes the running
+/// stage into its counter and opens another, and the destructor closes the
+/// last one. Declared before every other local, it is destroyed after them,
+/// so tearing down the call's working state is attributed too (to the
+/// final stage, or to the stage an error return left from).
+class StageClock {
+ public:
+  StageClock(obs::Counter* counter, const char* name)
+      : counter_(counter), name_(name), start_ns_(obs::NowNs()) {}
+  StageClock(const StageClock&) = delete;
+  StageClock& operator=(const StageClock&) = delete;
+  ~StageClock() { obs::EndSpan(counter_, name_, start_ns_); }
+
+  void Next(obs::Counter* counter, const char* name) {
+    obs::EndSpan(counter_, name_, start_ns_);
+    counter_ = counter;
+    name_ = name;
+    start_ns_ = obs::NowNs();
+  }
+
+ private:
+  obs::Counter* counter_;
+  const char* name_;
+  int64_t start_ns_;
+};
+
 constexpr int kEmHistogramBuckets = 3000;  // 1-mile buckets
 constexpr double kEmMinPairs = 50.0;
 constexpr double kAlphaMin = -2.0;
@@ -389,6 +416,14 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
                                        const MlpResult& base_result,
                                        const FitOptions& opts,
                                        DeltaReport* report_out) {
+  // The ingest stages tile this call (src/stream/README.md). Migration and
+  // resample set-up interleave: the chain is adopted between building the
+  // warm machinery and partitioning it.
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* migrate_ns = registry.GetCounter(obs::kIngestMigrateNs);
+  obs::Counter* setup_ns = registry.GetCounter(obs::kIngestResampleSetupNs);
+  StageClock stage(migrate_ns, "ingest_migrate");
+
   MLP_RETURN_NOT_OK(ValidateInput(merged_input));
   if (opts.warm_start == nullptr) {
     return Status::InvalidArgument(
@@ -455,10 +490,6 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
           "may only append");
     }
   }
-
-  // Migration phase (space rebuild, activation carry, chain remap) ends at
-  // AdoptMigratedChain; error paths just drop the span.
-  const int64_t migrate_start_ns = obs::NowNs();
 
   // The base checkpoint must genuinely belong to `base_input` — the same
   // guard Fit's warm start applies, against the BASE universe.
@@ -625,10 +656,13 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     report.tweeting_resampled.assign(use_tweeting ? k_new : 0, 0);
     report.shards_total =
         config_.num_threads <= 1 ? 1 : config_.num_threads;
+    report.phi_offset = space.layout().phi_offset;
+    report.candidates = space.active_candidates();
     if (opts.checkpoint_out != nullptr) *opts.checkpoint_out = base;
     if (report_out != nullptr) *report_out = std::move(report);
     return base_result;
   }
+  stage.Next(setup_ns, "ingest_resample_setup");
 
   // Warm machinery over the merged world. (α, β) resume from the base
   // fit's evolved values, exactly like Fit's warm-start path.
@@ -641,6 +675,7 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   GibbsSampler sampler(&merged_input, &config, &space, &random_models,
                        &pow_table);
   engine::ParallelGibbsEngine engine(&sampler, &merged_input, &config, &space);
+  stage.Next(migrate_ns, "ingest_migrate");
 
   // Appended edges draw their seed assignments from a stream derived from
   // (seed, delta shape) — a pure function of the inputs, so ingesting a
@@ -651,8 +686,7 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
                      (static_cast<uint64_t>(s_new - s_old) + 1)),
       0x94d049bb133111ebULL + 2 * (static_cast<uint64_t>(k_new - k_old) + 1));
   MLP_RETURN_NOT_OK(sampler.AdoptMigratedChain(chain, &init_rng));
-  obs::EndSpan(obs::Registry::Global().GetCounter(obs::kIngestMigrateNs),
-               "ingest_migrate", migrate_start_ns);
+  stage.Next(setup_ns, "ingest_resample_setup");
 
   Pcg32 rng(config.seed, 0x5bd1e995u);
   rng.RestoreState(base.master_rng);
@@ -712,20 +746,19 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   report.shards_total = num_shards;
   report.shards_touched = static_cast<int32_t>(shard_set.size());
   MLP_RETURN_NOT_OK(engine.BeginShardResample(shard_set));
+  stage.Next(registry.GetCounter(obs::kIngestResampleNs), "ingest_resample");
 
-  {
-    obs::ScopedSpan span(
-        obs::Registry::Global().GetCounter(obs::kIngestResampleNs),
-        "ingest_resample");
-    for (int it = 0; it < opts.delta_burn_sweeps; ++it) {
-      engine.ResampleShards(&rng);
-    }
-    sampler.ResetAccumulators();
-    for (int it = 0; it < opts.delta_sampling_sweeps; ++it) {
-      engine.ResampleShards(&rng);
-      sampler.AccumulateSample();
-    }
+  for (int it = 0; it < opts.delta_burn_sweeps; ++it) {
+    engine.ResampleShards(&rng);
   }
+  sampler.ResetAccumulators();
+  for (int it = 0; it < opts.delta_sampling_sweeps; ++it) {
+    engine.ResampleShards(&rng);
+    sampler.AccumulateSample();
+  }
+  // Result merge, through the teardown of the warm machinery.
+  stage.Next(registry.GetCounter(obs::kIngestResultMergeNs),
+             "ingest_result_merge");
   report.user_resampled = engine.resample_user_mask();
   report.following_resampled = engine.resample_following_mask();
   report.tweeting_resampled = engine.resample_tweeting_mask();
@@ -761,6 +794,8 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
       result.tweeting[k] = base_result.tweeting[k];
     }
   }
+  report.phi_offset = space.layout().phi_offset;
+  report.candidates = space.active_candidates();
   if (report_out != nullptr) *report_out = std::move(report);
   return result;
 }

@@ -100,6 +100,13 @@ struct DeltaReport {
   std::vector<uint8_t> user_resampled;       // per merged user
   std::vector<uint8_t> following_resampled;  // per merged following edge
   std::vector<uint8_t> tweeting_resampled;   // per merged tweeting edge
+  /// The merged world's ACTIVE candidate layout, which the returned
+  /// checkpoint's flat ϕ indexes: CSR offsets over users and the city of
+  /// every slot (what io::MakeModelSnapshot would re-derive by rebuilding
+  /// the candidate space). serve::ReadModel::Patch reads support scores
+  /// through it.
+  std::vector<int64_t> phi_offset;
+  std::vector<geo::CityId> candidates;
 };
 
 /// Identity hash binding a fit to its inputs: every pre-pruning MlpConfig

@@ -336,12 +336,7 @@ ModelSnapshot MakeModelSnapshot(const core::ModelInput& input,
                 "derived from this input/config");
   const core::SuffStatsLayout& layout = space.layout();
   snapshot.phi_offset = layout.phi_offset;
-  snapshot.candidates.reserve(layout.phi_size());
-  for (graph::UserId u = 0; u < space.num_users(); ++u) {
-    const core::CandidateView& view = space.view(u);
-    snapshot.candidates.insert(snapshot.candidates.end(), view.candidates,
-                               view.candidates + view.size());
-  }
+  snapshot.candidates = space.active_candidates();
   snapshot.num_locations = layout.num_locations;
   snapshot.num_venues = layout.num_venues;
   return snapshot;

@@ -38,11 +38,25 @@ inline constexpr char kFitMhAcceptPpm[] = "fit_mh_accept_ppm";
 inline constexpr char kFitActiveCandidateSlots[] =
     "fit_active_candidate_slots";
 
-// Streaming ingest phases (core::MlpModel::ApplyDelta /
-// stream::ApplyDeltaBatch).
+// Streaming ingest stages (stream::ApplyDeltaBatch → core::MlpModel::
+// ApplyDelta → serve::ReadModel::Patch in stream::LiveIngestor), in call
+// order; together they tile ingest_apply_ns (src/stream/README.md):
+//   merge           MergeDelta: the delta appended to the graph;
+//   migrate         validation, candidate-space rebuild and activation
+//                   carry, chain remap, AdoptMigratedChain;
+//   resample_setup  random models, PowTable, sampler/engine construction,
+//                   grouped partition, BeginShardResample;
+//   resample        the warm burn + sampling sweeps;
+//   result_merge    SaveState into the checkpoint, BuildResult, carrying
+//                   untouched rows from the base result, freeing the
+//                   warm machinery;
+//   publish         the live ingestor's ReadModel::Patch.
 inline constexpr char kIngestMergeNs[] = "ingest_merge_ns";
 inline constexpr char kIngestMigrateNs[] = "ingest_migrate_ns";
+inline constexpr char kIngestResampleSetupNs[] = "ingest_resample_setup_ns";
 inline constexpr char kIngestResampleNs[] = "ingest_resample_ns";
+inline constexpr char kIngestResultMergeNs[] = "ingest_result_merge_ns";
+inline constexpr char kIngestPublishNs[] = "ingest_publish_ns";
 
 // Streaming ingest volume counters (stream::ApplyDeltaBatch).
 inline constexpr char kIngestBatchesTotal[] = "ingest_batches_total";

@@ -1,9 +1,11 @@
 #include "serve/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -47,14 +49,36 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string JsonDouble(double v) {
-  // Try the shortest renderings first; fall back to 17 significant digits,
-  // which always round-trips an IEEE double.
+namespace {
+
+// Longest %.17g rendering is "-d.dddddddddddddddde-308" (24 chars).
+constexpr int kDoubleBufferSize = 32;
+
+/// Writes the shortest of the 15/16/17-significant-digit renderings of `v`
+/// that parses back to exactly `v` into `buf` and returns its end; 17
+/// digits always round-trips an IEEE double (NaN never compares equal, so
+/// it lands there too). to_chars with a precision is printf's "%.*g" in
+/// the C locale byte for byte and from_chars parses exactly like strtod,
+/// so the output equals a snprintf + strtod loop's while skipping its
+/// format-string parse and per-attempt heap string.
+char* FormatJsonDouble(double v, char* buf) {
+  char* end = buf;
   for (int precision : {15, 16, 17}) {
-    std::string text = StringPrintf("%.*g", precision, v);
-    if (std::strtod(text.c_str(), nullptr) == v) return text;
+    end = std::to_chars(buf, buf + kDoubleBufferSize, v,
+                        std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    const std::from_chars_result parsed = std::from_chars(buf, end, back);
+    if (parsed.ec == std::errc() && back == v) break;
   }
-  return StringPrintf("%.17g", v);
+  return end;
+}
+
+}  // namespace
+
+std::string JsonDouble(double v) {
+  char buf[kDoubleBufferSize];
+  return std::string(buf, FormatJsonDouble(v, buf));
 }
 
 // ------------------------------------------------------------- JsonWriter
@@ -114,7 +138,8 @@ void JsonWriter::Int(int64_t value) {
 
 void JsonWriter::Double(double value) {
   Comma();
-  out_ += JsonDouble(value);
+  char buf[kDoubleBufferSize];
+  out_.append(buf, FormatJsonDouble(value, buf));
 }
 
 void JsonWriter::Bool(bool value) {

@@ -141,13 +141,124 @@ void WriteEdgeJson(const ReadModel& model, const EdgeAnswer& answer,
   w->EndObject();
 }
 
+/// Appends entities [0, n) to a CSR (flat `out` + `offset` prefix):
+/// entity i is copied from `prev` when i < dirty.size() and !dirty[i] —
+/// whole clean runs as one block, their offsets shifted — and produced by
+/// `render(i, out)` otherwise.
+template <typename Flat, typename RenderFn>
+void SpliceCsr(const Flat& prev, const std::vector<int64_t>& prev_offset,
+               const std::vector<uint8_t>& dirty, int n, Flat* out,
+               std::vector<int64_t>* offset, RenderFn render) {
+  const int carried = std::min(static_cast<int>(dirty.size()), n);
+  offset->reserve(static_cast<size_t>(n) + 1);
+  offset->push_back(0);
+  int i = 0;
+  while (i < n) {
+    if (i < carried && !dirty[i]) {
+      int end = i + 1;
+      while (end < carried && !dirty[end]) ++end;
+      const int64_t shift = static_cast<int64_t>(out->size()) - prev_offset[i];
+      out->insert(out->end(), prev.begin() + prev_offset[i],
+                  prev.begin() + prev_offset[end]);
+      for (int k = i + 1; k <= end; ++k) {
+        offset->push_back(prev_offset[k] + shift);
+      }
+      i = end;
+    } else {
+      render(i, out);
+      offset->push_back(static_cast<int64_t>(out->size()));
+      ++i;
+    }
+  }
+}
+
 }  // namespace
+
+struct ReadModel::Source {
+  const core::FitCheckpoint& checkpoint;
+  const core::MlpResult& result;
+  /// Active candidate CSR over users; `candidates` is what the
+  /// checkpoint's flat ϕ indexes.
+  const std::vector<int64_t>& phi_offset;
+  const std::vector<geo::CityId>& candidates;
+};
 
 Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
                                    const graph::SocialGraph& graph,
                                    const geo::Gazetteer* gazetteer,
                                    const ReadModelOptions& options) {
-  const core::MlpResult& result = snapshot.result;
+  ReadModel empty;
+  empty.gazetteer_ = gazetteer;
+  empty.top_k_ = options.top_k;
+  const Source source{snapshot.checkpoint, snapshot.result,
+                      snapshot.phi_offset, snapshot.candidates};
+  return Render(empty, source, graph, {}, {});
+}
+
+Result<ReadModel> ReadModel::Patch(const ReadModel& prev,
+                                   const core::FitCheckpoint& checkpoint,
+                                   const core::MlpResult& result,
+                                   const graph::SocialGraph& graph,
+                                   const core::DeltaReport& report) {
+  if (prev.mmap_backed_) {
+    return Status::FailedPrecondition(
+        "cannot patch an mmap-backed read model — it carries no columns");
+  }
+  const int num_users = graph.num_users();
+  const int num_edges = graph.num_following();
+  const int prev_users = prev.num_users();
+  const int prev_edges = prev.num_edges();
+  const Source source{checkpoint, result, report.phi_offset,
+                      report.candidates};
+  if (num_users - report.new_users != prev_users ||
+      num_edges - report.new_following != prev_edges ||
+      report.user_resampled.size() != static_cast<size_t>(num_users) ||
+      (!report.following_resampled.empty() &&
+       report.following_resampled.size() != static_cast<size_t>(num_edges))) {
+    return Status::FailedPrecondition(
+        "read model to patch covers " + std::to_string(prev_users) +
+        " users / " + std::to_string(prev_edges) +
+        " edges, not the base of this delta");
+  }
+  // Dirty set. A user's served bytes (home, top-K profile, degrees) move
+  // only when it was resampled or gained an edge. An edge's bytes (x̂, ŷ,
+  // noise, supports) move when it was resampled or either endpoint's ϕ
+  // row moved — and ϕ rows move only for resampled users: a resampled
+  // edge needs both endpoints selected, and a touched user's row can move
+  // at migration (a redirected assignment) without any resampled edge,
+  // but touched users are always resampled. New users/edges render
+  // unconditionally (they lie past the masks).
+  const std::vector<uint8_t>& resampled = report.user_resampled;
+  std::vector<uint8_t> user_dirty(resampled.begin(),
+                                  resampled.begin() + prev_users);
+  std::vector<uint8_t> edge_dirty(prev_edges, 0);
+  auto mark_user = [&](graph::UserId u) {
+    if (u < prev_users) user_dirty[u] = 1;
+  };
+  for (graph::EdgeId s = 0; s < num_edges; ++s) {
+    const graph::FollowingEdge& edge = graph.following(s);
+    if (s >= prev_edges) {
+      mark_user(edge.follower);
+      mark_user(edge.friend_user);
+    } else {
+      edge_dirty[s] = (!report.following_resampled.empty() &&
+                       report.following_resampled[s]) ||
+                      resampled[edge.follower] || resampled[edge.friend_user];
+    }
+  }
+  for (graph::EdgeId k = graph.num_tweeting() - report.new_tweeting;
+       k < graph.num_tweeting(); ++k) {
+    mark_user(graph.tweeting(k).user);
+  }
+  return Render(prev, source, graph, user_dirty, edge_dirty);
+}
+
+Result<ReadModel> ReadModel::Render(const ReadModel& prev,
+                                    const Source& source,
+                                    const graph::SocialGraph& graph,
+                                    const std::vector<uint8_t>& user_dirty,
+                                    const std::vector<uint8_t>& edge_dirty) {
+  const core::MlpResult& result = source.result;
   const int num_users = graph.num_users();
   if (static_cast<int>(result.home.size()) != num_users ||
       static_cast<int>(result.profiles.size()) != num_users) {
@@ -162,46 +273,61 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
         " following relationships but the dataset has " +
         std::to_string(graph.num_following()));
   }
-  if (snapshot.phi_offset.size() != static_cast<size_t>(num_users) + 1 ||
-      snapshot.candidates.size() !=
-          static_cast<size_t>(snapshot.phi_offset.back())) {
+  if (source.phi_offset.size() != static_cast<size_t>(num_users) + 1 ||
+      source.candidates.size() !=
+          static_cast<size_t>(source.phi_offset.back())) {
     return Status::InvalidArgument(
         "snapshot candidate layout is inconsistent with its user count");
   }
-  const core::SamplerState& sampler = snapshot.checkpoint.sampler;
+  const core::SamplerState& sampler = source.checkpoint.sampler;
   const bool have_arena =
-      sampler.phi.size() == snapshot.candidates.size() &&
+      sampler.phi.size() == source.candidates.size() &&
       sampler.phi_total.size() == static_cast<size_t>(num_users);
+  const int prev_users = static_cast<int>(user_dirty.size());
+  const int prev_edges = static_cast<int>(edge_dirty.size());
+  auto user_clean = [&](graph::UserId u) {
+    return u < prev_users && !user_dirty[u];
+  };
+  auto edge_clean = [&](graph::EdgeId s) {
+    return s < prev_edges && !edge_dirty[s];
+  };
 
   ReadModel model;
-  model.gazetteer_ = gazetteer;
+  model.gazetteer_ = prev.gazetteer_;
+  model.top_k_ = prev.top_k_;
   model.alpha_ = result.alpha;
   model.beta_ = result.beta;
-  model.fit_complete_ = snapshot.checkpoint.complete;
-  model.active_slots_ = snapshot.phi_offset.back();
-  model.layout_version_ = snapshot.checkpoint.activation.layout_version;
+  model.fit_complete_ = source.checkpoint.complete;
+  model.active_slots_ = source.phi_offset.back();
+  model.layout_version_ = source.checkpoint.activation.layout_version;
 
   // ---- flat top-K profiles (posteriors copied verbatim) ----
-  model.home_ = result.home;
-  model.profile_offset_.reserve(num_users + 1);
-  model.profile_offset_.push_back(0);
+  model.home_ = prev.home_;
+  model.home_.resize(num_users);
   for (graph::UserId u = 0; u < num_users; ++u) {
-    const auto& entries = result.profiles[u].entries();
-    int keep = static_cast<int>(entries.size());
-    if (options.top_k > 0) keep = std::min(keep, options.top_k);
-    for (int i = 0; i < keep; ++i) {
-      model.entries_.push_back({entries[i].first, entries[i].second});
-    }
-    model.profile_offset_.push_back(
-        static_cast<int64_t>(model.entries_.size()));
+    if (!user_clean(u)) model.home_[u] = result.home[u];
   }
+  SpliceCsr(prev.entries_, prev.profile_offset_, user_dirty, num_users,
+            &model.entries_, &model.profile_offset_,
+            [&](graph::UserId u, std::vector<ProfileEntry>* out) {
+              const auto& entries = result.profiles[u].entries();
+              int keep = static_cast<int>(entries.size());
+              if (model.top_k_ > 0) keep = std::min(keep, model.top_k_);
+              for (int i = 0; i < keep; ++i) {
+                out->push_back({entries[i].first, entries[i].second});
+              }
+            });
   model.total_profile_entries_ = static_cast<int64_t>(model.entries_.size());
 
   // ---- per-user degrees ----
+  model.num_friends_ = prev.num_friends_;
+  model.num_followers_ = prev.num_followers_;
+  model.num_tweets_ = prev.num_tweets_;
   model.num_friends_.resize(num_users);
   model.num_followers_.resize(num_users);
   model.num_tweets_.resize(num_users);
   for (graph::UserId u = 0; u < num_users; ++u) {
+    if (user_clean(u)) continue;
     model.num_friends_[u] = static_cast<int32_t>(graph.OutEdges(u).size());
     model.num_followers_[u] = static_cast<int32_t>(graph.InEdges(u).size());
     model.num_tweets_[u] = static_cast<int32_t>(graph.TweetEdges(u).size());
@@ -209,14 +335,23 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
 
   // ---- per-edge explanations + arena support scores ----
   const int num_edges = graph.num_following();
+  model.edge_src_ = prev.edge_src_;
+  model.edge_dst_ = prev.edge_dst_;
+  model.edge_x_ = prev.edge_x_;
+  model.edge_y_ = prev.edge_y_;
+  model.edge_noise_ = prev.edge_noise_;
+  model.edge_x_support_ = prev.edge_x_support_;
+  model.edge_y_support_ = prev.edge_y_support_;
+  model.edge_distance_ = prev.edge_distance_;
   model.edge_src_.resize(num_edges);
   model.edge_dst_.resize(num_edges);
   model.edge_x_.resize(num_edges);
   model.edge_y_.resize(num_edges);
   model.edge_noise_.resize(num_edges);
-  model.edge_x_support_.assign(num_edges, 0.0);
-  model.edge_y_support_.assign(num_edges, 0.0);
-  model.edge_distance_.assign(num_edges, 0.0);
+  model.edge_x_support_.resize(num_edges);
+  model.edge_y_support_.resize(num_edges);
+  model.edge_distance_.resize(num_edges);
+  model.edge_index_ = prev.edge_index_;
   model.edge_index_.reserve(num_edges);
 
   // ϕ_u[city] / ϕ_u total against the stored (compacted) candidate layout:
@@ -225,16 +360,17 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
   // much evidence backs an explanation endpoint.
   auto support = [&](graph::UserId u, geo::CityId city) -> double {
     if (!have_arena || city == geo::kInvalidCity) return 0.0;
-    const int64_t begin = snapshot.phi_offset[u];
-    const int count = static_cast<int>(snapshot.phi_offset[u + 1] - begin);
-    const int slot =
-        core::FindCandidateSlot(snapshot.candidates.data() + begin, count, city);
+    const int64_t begin = source.phi_offset[u];
+    const int count = static_cast<int>(source.phi_offset[u + 1] - begin);
+    const int slot = core::FindCandidateSlot(source.candidates.data() + begin,
+                                             count, city);
     if (slot < 0) return 0.0;
     const double total = sampler.phi_total[u];
     return total > 0.0 ? sampler.phi[begin + slot] / total : 0.0;
   };
 
   for (graph::EdgeId s = 0; s < num_edges; ++s) {
+    if (edge_clean(s)) continue;
     const graph::FollowingEdge& edge = graph.following(s);
     const core::FollowingExplanation& ex = result.following[s];
     model.edge_src_[s] = edge.follower;
@@ -244,40 +380,45 @@ Result<ReadModel> ReadModel::Build(const io::ModelSnapshot& snapshot,
     model.edge_noise_[s] = ex.noise_prob;
     model.edge_x_support_[s] = support(edge.follower, ex.x);
     model.edge_y_support_[s] = support(edge.friend_user, ex.y);
-    if (gazetteer != nullptr && ex.x != geo::kInvalidCity &&
+    model.edge_distance_[s] = 0.0;
+    if (model.gazetteer_ != nullptr && ex.x != geo::kInvalidCity &&
         ex.y != geo::kInvalidCity) {
-      model.edge_distance_[s] = gazetteer->DistanceMiles(ex.x, ex.y);
+      model.edge_distance_[s] = model.gazetteer_->DistanceMiles(ex.x, ex.y);
     }
-    model.edge_index_.emplace(EdgeKey(edge.follower, edge.friend_user), s);
+    // First insertion wins, so a duplicate (src,dst) keeps the lowest id.
+    if (s >= prev_edges) {
+      model.edge_index_.emplace(EdgeKey(edge.follower, edge.friend_user), s);
+    }
   }
 
   // ---- pre-rendered JSON fragments ----
   // Rendering is hoisted out of the request path entirely: the model is
   // immutable, so every answer body is known at build time. Point queries
   // become substring copies and batch responses a concatenation scan.
-  model.user_json_offset_.reserve(num_users + 1);
-  model.user_json_offset_.push_back(0);
-  for (graph::UserId u = 0; u < num_users; ++u) {
-    UserAnswer answer;
-    model.GetUser(u, &answer);
-    JsonWriter w;
-    WriteUserJson(model, answer, &w);
-    model.user_json_ += w.str();
-    model.user_json_offset_.push_back(
-        static_cast<int64_t>(model.user_json_.size()));
-  }
-  model.edge_json_offset_.reserve(num_edges + 1);
-  model.edge_json_offset_.push_back(0);
-  for (graph::EdgeId s = 0; s < num_edges; ++s) {
-    EdgeAnswer answer;
-    model.GetEdgeById(s, &answer);
-    JsonWriter w;
-    WriteEdgeJson(model, answer, &w);
-    model.edge_json_ += w.str();
-    model.edge_json_offset_.push_back(
-        static_cast<int64_t>(model.edge_json_.size()));
-  }
-
+  // A patch re-renders only the dirty fragments; the blob grows by about
+  // the new entities' share, so reserve that much headroom once.
+  model.user_json_.reserve(prev.user_json_.size() +
+                           prev.user_json_.size() / 16);
+  SpliceCsr(prev.user_json_, prev.user_json_offset_, user_dirty, num_users,
+            &model.user_json_, &model.user_json_offset_,
+            [&](graph::UserId u, std::string* out) {
+              UserAnswer answer;
+              model.GetUser(u, &answer);
+              JsonWriter w;
+              WriteUserJson(model, answer, &w);
+              *out += w.str();
+            });
+  model.edge_json_.reserve(prev.edge_json_.size() +
+                           prev.edge_json_.size() / 16);
+  SpliceCsr(prev.edge_json_, prev.edge_json_offset_, edge_dirty, num_edges,
+            &model.edge_json_, &model.edge_json_offset_,
+            [&](graph::EdgeId s, std::string* out) {
+              EdgeAnswer answer;
+              model.GetEdgeById(s, &answer);
+              JsonWriter w;
+              WriteEdgeJson(model, answer, &w);
+              *out += w.str();
+            });
   return model;
 }
 
@@ -568,10 +709,17 @@ Result<ReadModel> ReadModel::MapServeSection(const std::string& snapshot_path,
   auto in_bounds = [size](uint64_t off, uint64_t bytes) {
     return off % kServeAlign == 0 && off <= size && bytes <= size - off;
   };
-  if (!in_bounds(field(kFieldUserOffsetsOff), (num_users + 1) * 8) ||
-      !in_bounds(field(kFieldEdgeOffsetsOff), (num_edges + 1) * 8) ||
-      !in_bounds(field(kFieldEdgeKeysOff), num_keys * 8) ||
-      !in_bounds(field(kFieldEdgeIdsOff), num_keys * 8) ||
+  // Counts are bounded (ids are served as int) before they are scaled to
+  // bytes, so a crafted count cannot wrap (n + 1) * 8 back into range.
+  constexpr uint64_t kMaxCount = uint64_t{1} << 31;
+  auto array_in_bounds = [&](int offset_field, uint64_t count) {
+    return count <= kMaxCount && in_bounds(field(offset_field), count * 8);
+  };
+  if (num_users >= kMaxCount || num_edges >= kMaxCount ||
+      !array_in_bounds(kFieldUserOffsetsOff, num_users + 1) ||
+      !array_in_bounds(kFieldEdgeOffsetsOff, num_edges + 1) ||
+      !array_in_bounds(kFieldEdgeKeysOff, num_keys) ||
+      !array_in_bounds(kFieldEdgeIdsOff, num_keys) ||
       !in_bounds(field(kFieldUserJsonOff), field(kFieldUserJsonSize)) ||
       !in_bounds(field(kFieldEdgeJsonOff), field(kFieldEdgeJsonSize))) {
     return Status::IOError("serve section layout out of bounds: " +
@@ -605,14 +753,32 @@ Result<ReadModel> ReadModel::MapServeSection(const std::string& snapshot_path,
   model.map_edge_json_ = std::string_view(
       reinterpret_cast<const char*>(data + field(kFieldEdgeJsonOff)),
       field(kFieldEdgeJsonSize));
-  // Cheap coherence probe (touches two pages): the CSR ends must agree
-  // with the blob sizes the header promises.
-  if (model.map_user_json_offset_[num_users] !=
-          static_cast<int64_t>(field(kFieldUserJsonSize)) ||
-      model.map_edge_json_offset_[num_edges] !=
-          static_cast<int64_t>(field(kFieldEdgeJsonSize))) {
+  // Only the header is checksummed, so the arrays the query path indexes
+  // blindly are validated once here, in one sequential scan: each CSR
+  // starts at 0, never decreases and ends at its blob's size, and every
+  // key-table id names an edge. Query-time accessors then cannot slice
+  // outside a blob or index past the offset arrays.
+  auto csr_valid = [](const int64_t* offset, uint64_t n, uint64_t blob) {
+    if (offset[0] != 0 || static_cast<uint64_t>(offset[n]) != blob) {
+      return false;
+    }
+    for (uint64_t i = 0; i < n; ++i) {
+      if (offset[i + 1] < offset[i]) return false;
+    }
+    return true;
+  };
+  if (!csr_valid(model.map_user_json_offset_, num_users,
+                 field(kFieldUserJsonSize)) ||
+      !csr_valid(model.map_edge_json_offset_, num_edges,
+                 field(kFieldEdgeJsonSize))) {
     return Status::IOError("serve section offsets disagree with blobs: " +
                            snapshot_path);
+  }
+  for (uint64_t i = 0; i < num_keys; ++i) {
+    if (static_cast<uint64_t>(model.map_edge_ids_[i]) >= num_edges) {
+      return Status::IOError("serve section edge id out of range: " +
+                             snapshot_path);
+    }
   }
   model.mapped_ = std::move(*mapped);
   return model;

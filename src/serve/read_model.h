@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/model.h"
 #include "geo/gazetteer.h"
 #include "graph/social_graph.h"
 #include "io/mmap_file.h"
@@ -69,8 +70,9 @@ inline constexpr uint32_t kServeSectionVersion = 1;
 /// from MlpResult so served values are byte-consistent with the fit),
 /// per-edge explanations with arena-derived support scores, an O(1)
 /// (src, dst) → edge index, and per-user degrees. Everything is built once
-/// by Build(); afterwards the model is read-only and safe to share across
-/// server threads without locking.
+/// by Build() (or Patch() from the previous generation); afterwards the
+/// model is read-only and safe to share across server threads without
+/// locking.
 ///
 /// The snapshot carries the model but not the observation graph, which is
 /// why Build also takes the dataset's SocialGraph (edge endpoints, degrees)
@@ -85,6 +87,24 @@ class ReadModel {
                                  const graph::SocialGraph& graph,
                                  const geo::Gazetteer* gazetteer,
                                  const ReadModelOptions& options = {});
+
+  /// The next generation of `prev` after one streaming delta, in
+  /// O(delta) rendering: only the users and edges a delta can change are
+  /// re-rendered (the dirty set — new users/edges, resampled users and the
+  /// endpoints of new edges, and every edge that was resampled or touches
+  /// a resampled user; src/serve/README.md), and every other fragment is
+  /// copied out of `prev` in contiguous runs. The result is byte-identical
+  /// to Build() over the same state. `checkpoint`, `result` and `report`
+  /// are core::MlpModel::ApplyDelta's outputs over `graph`; the report's
+  /// active candidate layout is what the checkpoint's ϕ indexes. The
+  /// gazetteer and top-K carry over from `prev`. FailedPrecondition when
+  /// `prev` is mmap-backed or its user/edge counts are not the delta's
+  /// base world's.
+  static Result<ReadModel> Patch(const ReadModel& prev,
+                                 const core::FitCheckpoint& checkpoint,
+                                 const core::MlpResult& result,
+                                 const graph::SocialGraph& graph,
+                                 const core::DeltaReport& report);
 
   /// Renders this (in-memory) model's serving surface — the pre-rendered
   /// JSON blobs, their CSR offsets, a sorted (src,dst)→edge key table and
@@ -178,7 +198,20 @@ class ReadModel {
   bool ExampleEdge(graph::UserId* src, graph::UserId* dst) const;
 
  private:
+  /// The fitted state one Render reads (defined in read_model.cc).
+  struct Source;
+
+  /// The one render path: a model over `graph` whose user u / edge s is
+  /// copied from `prev` when u < user_dirty.size() and !user_dirty[u]
+  /// (likewise edges), and rendered from `source` otherwise. Build passes
+  /// an empty `prev` and empty masks, so everything renders.
+  static Result<ReadModel> Render(const ReadModel& prev, const Source& source,
+                                  const graph::SocialGraph& graph,
+                                  const std::vector<uint8_t>& user_dirty,
+                                  const std::vector<uint8_t>& edge_dirty);
+
   const geo::Gazetteer* gazetteer_ = nullptr;
+  int top_k_ = 10;
 
   // Flat top-K profiles: CSR prefix over users into entries_.
   std::vector<int64_t> profile_offset_;

@@ -29,6 +29,8 @@ struct IngestOutput {
   std::vector<geo::CityId> merged_observed_home;
   core::FitCheckpoint checkpoint;  // bound to the merged world
   core::MlpResult result;
+  /// What the apply touched, plus the merged active candidate layout the
+  /// checkpoint's ϕ indexes — together what serve::ReadModel::Patch needs.
   core::DeltaReport report;
 };
 

@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "io/model_snapshot.h"
 #include "obs/fit_profile.h"
+#include "obs/trace.h"
 #include "serve/json.h"
 #include "stream/delta_batch.h"
 
@@ -80,6 +81,7 @@ LiveIngestor::LiveIngestor(serve::ModelServer* server,
                                     obs::IngestApplyNsBounds());
   swap_ns_ = registry.GetHistogram(obs::kIngestSwapNs,
                                    obs::IngestSwapNsBounds());
+  publish_ns_ = registry.GetCounter(obs::kIngestPublishNs);
 }
 
 LiveIngestor::~LiveIngestor() { Stop(); }
@@ -215,16 +217,16 @@ void LiveIngestor::ProcessBatch(const std::string& name) {
     return;
   }
 
-  core::ModelInput merged_input = base_input_;
-  merged_input.graph = out->merged_graph.get();
-  merged_input.observed_home = out->merged_observed_home;
-  io::ModelSnapshot snapshot =
-      io::MakeModelSnapshot(merged_input, out->checkpoint, out->result);
+  // Publish: patch the served generation — only the fragments this delta
+  // can change are re-rendered, the rest is copied — reading the new fit
+  // state in place.
+  const int64_t publish_start_ns = obs::NowNs();
   Result<serve::ReadModel> model =
-      serve::ReadModel::Build(snapshot, *out->merged_graph,
-                              base_input_.gazetteer, options_.read_model);
+      serve::ReadModel::Patch(*server_->model(), out->checkpoint, out->result,
+                              *out->merged_graph, out->report);
+  obs::EndSpan(publish_ns_, "ingest_publish", publish_start_ns);
   if (!model.ok()) {
-    Quarantine(name, "build", model.status());
+    Quarantine(name, "publish", model.status());
     return;
   }
   apply_ns_->Record(SteadyNowNs() - apply_start_ns);

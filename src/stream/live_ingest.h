@@ -16,7 +16,6 @@
 #include "core/model.h"
 #include "obs/metrics.h"
 #include "serve/model_server.h"
-#include "serve/read_model.h"
 #include "stream/delta_ingest.h"
 
 namespace mlp {
@@ -35,8 +34,6 @@ struct LiveIngestOptions {
   /// `mlpctl ingest`, so a live-spooled batch and an offline ingest of the
   /// same delta produce byte-identical models.
   IngestOptions ingest;
-  /// Forwarded to ReadModel::Build for each swapped-in model.
-  serve::ReadModelOptions read_model;
   /// > 0: snapshot the evolving model to `checkpoint_path` every K applied
   /// batches (in addition to the drain-time checkpoint).
   int checkpoint_every = 0;
@@ -50,9 +47,10 @@ struct LiveIngestOptions {
 /// serve::ModelServer that watches a spool directory for delta batches,
 /// applies each with stream::ApplyDeltaBatch (candidate migration +
 /// shard-scoped warm resample) against its own evolving
-/// (graph, checkpoint, result) state, and atomically publishes the
-/// post-delta ReadModel with ModelServer::SwapReadModel — queries are
-/// never interrupted and no snapshot round-trip happens on the data path.
+/// (graph, checkpoint, result) state, patches the served ReadModel with
+/// the delta (ReadModel::Patch re-renders only what the delta changed)
+/// and atomically publishes it with ModelServer::SwapReadModel — queries
+/// are never interrupted and no snapshot copy happens on the data path.
 ///
 /// Spool protocol (full schema in src/stream/README.md):
 ///   - writers create `spool/tmp.<anything>`, fill in the delta CSVs, then
@@ -62,7 +60,7 @@ struct LiveIngestOptions {
 ///   - an applied batch is moved to `spool/done/` AFTER its model swap
 ///     publishes (a crash between apply and swap therefore re-applies the
 ///     batch on restart instead of ever publishing a half-built model);
-///   - a batch that fails to load, merge or apply is moved to
+///   - a batch that fails to load, merge, apply or publish is moved to
 ///     `spool/failed/` with a `receipt.json` describing the failure, and
 ///     the served model is left untouched — the watcher keeps running.
 ///
@@ -78,7 +76,10 @@ class LiveIngestor {
   /// them, exactly like ApplyDeltaBatch); the graph pointer is only used
   /// until the first batch replaces it with an owned merged graph.
   /// `checkpoint`/`result` are the fitted state the snapshot was loaded
-  /// with — moved in, the ingestor's copies evolve batch by batch.
+  /// with — moved in, the ingestor's copies evolve batch by batch. The
+  /// server's current model must be the in-memory ReadModel of that state:
+  /// each batch publishes ReadModel::Patch of the served generation, which
+  /// also carries its rendering options (top-K) forward.
   LiveIngestor(serve::ModelServer* server, const core::ModelInput& base_input,
                core::FitCheckpoint checkpoint, core::MlpResult result,
                const LiveIngestOptions& options);
@@ -175,6 +176,7 @@ class LiveIngestor {
   obs::Counter* failed_batches_total_;
   obs::Histogram* apply_ns_;
   obs::Histogram* swap_ns_;
+  obs::Counter* publish_ns_;
 };
 
 }  // namespace stream

@@ -210,6 +210,66 @@ TEST(LiveIngestTest, BatchAppliedSwappedAndByteIdenticalToOffline) {
   EXPECT_EQ(FileBytes(live_snap), FileBytes(offline_snap));
 }
 
+// ------------------------------------------------------ stage attribution
+
+TEST(LiveIngestTest, StageCountersCoverApplyTime) {
+  synth::SyntheticWorld world = TestWorld(150, 27);
+  FitHarness harness(world);
+  core::FitCheckpoint checkpoint;
+  core::MlpResult result = FitBase(harness.input, &checkpoint);
+  serve::ModelServer server = MakeServer(harness, world, checkpoint, result);
+  const int base_users = world.graph->num_users();
+
+  // The registry is process-global and cumulative: work on deltas.
+  obs::Registry& registry = obs::Registry::Global();
+  const std::vector<const char*> stages = {
+      obs::kIngestMergeNs,          obs::kIngestMigrateNs,
+      obs::kIngestResampleSetupNs,  obs::kIngestResampleNs,
+      obs::kIngestResultMergeNs,    obs::kIngestPublishNs};
+  auto stage_total = [&] {
+    uint64_t total = 0;
+    for (const char* name : stages) total += registry.GetCounter(name)->Value();
+    return total;
+  };
+  obs::Histogram* apply =
+      registry.GetHistogram(obs::kIngestApplyNs, obs::IngestApplyNsBounds());
+  const uint64_t stages_before = stage_total();
+  const uint64_t publish_before =
+      registry.GetCounter(obs::kIngestPublishNs)->Value();
+  const int64_t apply_before = apply->GetSnapshot().sum;
+
+  const fs::path spool = FreshSpool("live_stage_spool");
+  LiveIngestOptions options;
+  options.spool_dir = spool.string();
+  options.poll_ms = 10;
+  LiveIngestor ingestor(&server, harness.input, checkpoint, result, options);
+  ASSERT_TRUE(ingestor.Start().ok());
+  for (int k = 0; k < 3; ++k) {
+    SpoolBatch(spool, "batch-000" + std::to_string(k + 1), base_users + 2 * k);
+    ASSERT_TRUE(ingestor.WaitForApplied(k + 1, 30000));
+  }
+  ingestor.Stop();
+
+  const double apply_ns =
+      static_cast<double>(apply->GetSnapshot().sum - apply_before);
+  const double staged_ns = static_cast<double>(stage_total() - stages_before);
+  ASSERT_GT(apply_ns, 0.0);
+  EXPECT_GE(staged_ns / apply_ns, 0.95)
+      << "stages " << staged_ns << " ns of apply " << apply_ns << " ns";
+  EXPECT_LE(staged_ns, apply_ns);
+  EXPECT_GT(registry.GetCounter(obs::kIngestPublishNs)->Value(),
+            publish_before);
+
+  // Every stage is scraped beside the others.
+  serve::HttpRequest metrics;
+  metrics.method = "GET";
+  metrics.target = "/metricsz";
+  const std::string body = server.Handle(metrics).body;
+  for (const char* name : stages) {
+    EXPECT_NE(body.find(std::string(name) + " "), std::string::npos) << name;
+  }
+}
+
 // -------------------------------------------------------------- quarantine
 
 TEST(LiveIngestTest, MalformedAndDuplicateBatchesQuarantined) {

@@ -5,8 +5,12 @@
 // that served posteriors are byte-consistent with MlpResult.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "common/random.h"
 #include "core/model.h"
 #include "io/model_snapshot.h"
 #include "obs/trace.h"
@@ -23,6 +29,8 @@
 #include "serve/read_model.h"
 #include "serve/request_batcher.h"
 #include "serve/response_cache.h"
+#include "stream/delta_batch.h"
+#include "stream/delta_ingest.h"
 #include "synth/world_generator.h"
 
 namespace mlp {
@@ -68,6 +76,69 @@ TEST(JsonTest, DoubleRenderingRoundTripsExactly) {
     std::string text = JsonDouble(v);
     EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
   }
+}
+
+/// The printf formulation JsonDouble must reproduce byte for byte: the
+/// shortest of %.15g/%.16g/%.17g that strtod parses back to `v`.
+std::string PrintfJsonDouble(double v) {
+  char buf[64];
+  for (int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+TEST(JsonTest, DoubleRenderingIsByteIdenticalToPrintf) {
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double min_sub = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 2.0, 10.0, 100.0, 12345.0, -987654321.0,
+      1.0 - eps, 1.0 - eps / 2, 1.0 + eps, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0,
+      min_normal, -min_normal, min_sub, -min_sub, min_normal - min_sub,
+      min_sub * 12345, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), inf, -inf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      // %g switches to exponent notation below 1e-4 and at 10^precision.
+      1e-4, 9.9999999999999991e-5, 1e-5, 1.0000000000000001e-5, 1e15,
+      1e15 - 1, 1e15 + 1, 1e16, 1e16 - 2, 1e16 + 2, 1e17, 1e17 - 16,
+      1e17 + 16, 123456789012345678.0, 9007199254740993.0,
+      9007199254740992.0};
+  for (double base : {1e-5, 1e15, 1e16, 1e17}) {
+    double below = base;
+    double above = base;
+    for (int i = 0; i < 8; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, inf);
+      values.push_back(below);
+      values.push_back(above);
+    }
+  }
+  for (int i = -1000; i <= 1000; ++i) values.push_back(i);
+  // One million seeded draws: arbitrary bit patterns (every exponent,
+  // subnormals, NaN payloads) and probabilities like the ones served.
+  Pcg32 rng(20261017, 7);
+  for (int i = 0; i < 500000; ++i) {
+    const uint64_t bits =
+        (static_cast<uint64_t>(rng.NextU32()) << 32) | rng.NextU32();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    values.push_back(rng.NextDouble());
+  }
+  int mismatches = 0;
+  for (double v : values) {
+    const std::string fast = JsonDouble(v);
+    const std::string reference = PrintfJsonDouble(v);
+    if (fast != reference && ++mismatches <= 10) {
+      ADD_FAILURE() << "JsonDouble " << fast << " != printf " << reference;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << values.size() << " values";
 }
 
 TEST(JsonTest, ParserHandlesEscapesAndNumbers) {
@@ -422,6 +493,309 @@ TEST(ReadModelMmapTest, UnpackedSnapshotReportsMissingSection) {
   ASSERT_FALSE(mapped.ok());
   EXPECT_NE(mapped.status().ToString().find("pack"), std::string::npos)
       << mapped.status().ToString();
+}
+
+/// A packed snapshot's bytes plus where its serve section's header fields
+/// sit (layout: src/io/README.md — magic, version, endian marker, header
+/// checksum, then one 8-byte slot per field).
+struct PackedFile {
+  std::string bytes;
+  uint64_t fields = 0;  // file offset of field slot 0
+
+  uint64_t Get(int slot) const {
+    uint64_t v;
+    std::memcpy(&v, bytes.data() + fields + slot * 8, sizeof(v));
+    return v;
+  }
+  void Set(int slot, uint64_t v) {
+    std::memcpy(&bytes[fields + slot * 8], &v, sizeof(v));
+  }
+  void SetAt(uint64_t offset, int64_t v) {
+    std::memcpy(&bytes[offset], &v, sizeof(v));
+  }
+  int64_t GetAt(uint64_t offset) const {
+    int64_t v;
+    std::memcpy(&v, bytes.data() + offset, sizeof(v));
+    return v;
+  }
+  /// Recomputes the header checksum over the 18 field slots, as a forger
+  /// who knows the format would.
+  void Reseal() {
+    Fnv1a64 checksum;
+    checksum.Bytes(bytes.data() + fields, 18 * 8);
+    std::memcpy(&bytes[fields - 8], &checksum.hash, sizeof(checksum.hash));
+  }
+};
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+PackedFile PackForCorruption(const std::string& path, uint64_t seed) {
+  synth::SyntheticWorld world = TestWorld(150, seed);
+  io::ModelSnapshot snapshot = FitSnapshot(world, SmallConfig(), path);
+  Result<ReadModel> mem =
+      ReadModel::Build(snapshot, *world.graph, world.gazetteer.get());
+  EXPECT_TRUE(mem.ok());
+  EXPECT_TRUE(mem->AppendServeSection(path).ok());
+  PackedFile packed;
+  packed.bytes = FileBytes(path);
+  Result<io::SnapshotHeaderInfo> info = io::ParseSnapshotHeader(
+      reinterpret_cast<const uint8_t*>(packed.bytes.data()),
+      packed.bytes.size());
+  EXPECT_TRUE(info.ok());
+  packed.fields = (info->core_end + 63) / 64 * 64 + 24;
+  return packed;
+}
+
+void ExpectMapRejects(const PackedFile& packed, const std::string& path) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(packed.bytes.data(),
+              static_cast<std::streamsize>(packed.bytes.size()));
+  }
+  Result<ReadModel> mapped = ReadModel::MapServeSection(path, nullptr);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError)
+      << mapped.status().ToString();
+}
+
+// Field slots, in header order (read_model.cc's ServeField).
+constexpr int kSlotNumUsers = 0;
+constexpr int kSlotNumEdges = 1;
+constexpr int kSlotUserOffsetsOff = 10;
+constexpr int kSlotEdgeIdsOff = 13;
+
+TEST(ReadModelMmapTest, CorruptInteriorOffsetFailsToLoad) {
+  const std::string path = TempPath("mmap_corrupt_offset.snap");
+  const PackedFile packed = PackForCorruption(path, 14);
+  const uint64_t offsets = packed.Get(kSlotUserOffsetsOff);
+  // Past the end of the blob (the measured abort: substr out of range on
+  // the first query for that user).
+  PackedFile past = packed;
+  past.SetAt(offsets + 3 * 8, int64_t{1} << 40);
+  ExpectMapRejects(past, path);
+  // Decreasing (a negative-length fragment).
+  PackedFile backwards = packed;
+  backwards.SetAt(offsets + 3 * 8, packed.GetAt(offsets + 2 * 8) - 1);
+  ExpectMapRejects(backwards, path);
+  // A key-table id naming an edge that does not exist.
+  PackedFile bad_id = packed;
+  bad_id.SetAt(packed.Get(kSlotEdgeIdsOff),
+               static_cast<int64_t>(packed.Get(kSlotNumEdges)));
+  ExpectMapRejects(bad_id, path);
+}
+
+TEST(ReadModelMmapTest, CraftedHugeUserCountFailsToLoad) {
+  const std::string path = TempPath("mmap_huge_users.snap");
+  PackedFile packed = PackForCorruption(path, 15);
+  // (n + 1) * 8 wraps to 0 for n = 2^61 - 1: a bounds check on the scaled
+  // size alone would pass it, and the first offset read would fault.
+  packed.Set(kSlotNumUsers, (uint64_t{1} << 61) - 1);
+  packed.Reseal();
+  ExpectMapRejects(packed, path);
+  packed.Set(kSlotNumUsers, ~uint64_t{0});
+  packed.Reseal();
+  ExpectMapRejects(packed, path);
+}
+
+// ------------------------------------------------------------ patch oracle
+
+/// The oracle for ReadModel::Patch: a patched generation must equal a
+/// fresh Build of the same state — struct answers on every id, and the
+/// packed serve sections (everything the HTTP surface reads) byte for byte,
+/// each appended to its own copy of one snapshot file.
+void ExpectPatchEqualsBuild(const ReadModel& patched, const ReadModel& fresh,
+                            const graph::SocialGraph& graph,
+                            const io::ModelSnapshot& snapshot,
+                            const std::string& tag) {
+  ASSERT_EQ(patched.num_users(), fresh.num_users()) << tag;
+  ASSERT_EQ(patched.num_edges(), fresh.num_edges()) << tag;
+  for (graph::UserId u = 0; u < fresh.num_users(); ++u) {
+    UserAnswer a;
+    UserAnswer b;
+    ASSERT_TRUE(patched.GetUser(u, &a));
+    ASSERT_TRUE(fresh.GetUser(u, &b));
+    EXPECT_EQ(a.home, b.home) << tag << " user " << u;
+    EXPECT_EQ(a.num_friends, b.num_friends) << tag << " user " << u;
+    EXPECT_EQ(a.num_followers, b.num_followers) << tag << " user " << u;
+    EXPECT_EQ(a.num_tweets, b.num_tweets) << tag << " user " << u;
+    ASSERT_EQ(a.entry_count, b.entry_count) << tag << " user " << u;
+    for (int i = 0; i < a.entry_count; ++i) {
+      EXPECT_EQ(a.entries[i].city, b.entries[i].city) << tag << " user " << u;
+      EXPECT_EQ(a.entries[i].prob, b.entries[i].prob) << tag << " user " << u;
+    }
+  }
+  for (graph::EdgeId s = 0; s < fresh.num_edges(); ++s) {
+    EdgeAnswer a;
+    EdgeAnswer b;
+    ASSERT_TRUE(patched.GetEdgeById(s, &a));
+    ASSERT_TRUE(fresh.GetEdgeById(s, &b));
+    EXPECT_EQ(a.src, b.src) << tag << " edge " << s;
+    EXPECT_EQ(a.dst, b.dst) << tag << " edge " << s;
+    EXPECT_EQ(a.x, b.x) << tag << " edge " << s;
+    EXPECT_EQ(a.y, b.y) << tag << " edge " << s;
+    EXPECT_EQ(a.noise_prob, b.noise_prob) << tag << " edge " << s;
+    EXPECT_EQ(a.x_support, b.x_support) << tag << " edge " << s;
+    EXPECT_EQ(a.y_support, b.y_support) << tag << " edge " << s;
+    EXPECT_EQ(a.distance_miles, b.distance_miles) << tag << " edge " << s;
+    const graph::FollowingEdge& edge = graph.following(s);
+    EXPECT_EQ(patched.FindEdge(edge.follower, edge.friend_user),
+              fresh.FindEdge(edge.follower, edge.friend_user))
+        << tag << " edge " << s;
+  }
+  const std::string patched_path = TempPath("patch_oracle_patched.snap");
+  const std::string fresh_path = TempPath("patch_oracle_fresh.snap");
+  ASSERT_TRUE(io::SaveModelSnapshot(patched_path, snapshot).ok());
+  ASSERT_TRUE(io::SaveModelSnapshot(fresh_path, snapshot).ok());
+  ASSERT_TRUE(patched.AppendServeSection(patched_path).ok()) << tag;
+  ASSERT_TRUE(fresh.AppendServeSection(fresh_path).ok()) << tag;
+  EXPECT_TRUE(FileBytes(patched_path) == FileBytes(fresh_path))
+      << tag << ": packed serve sections differ";
+}
+
+/// Delta k of a chain over `graph`: two new users wired to each other and
+/// to existing ones, an edge and a tweet between existing users (so their
+/// candidate rows migrate), and — when `duplicate` — a new edge repeating
+/// an existing (src, dst) pair.
+stream::DeltaBatch PatchDelta(const graph::SocialGraph& graph, int k,
+                              bool duplicate) {
+  stream::DeltaBatch delta;
+  graph::UserRecord labeled;
+  labeled.handle = "patch_labeled_" + std::to_string(k);
+  labeled.registered_city = 3 + k;
+  graph::UserRecord unlabeled;
+  unlabeled.handle = "patch_unlabeled_" + std::to_string(k);
+  delta.users = {labeled, unlabeled};
+  const graph::UserId first = graph.num_users();
+  delta.following = {{first, k}, {first + 1, first}, {k + 1, first + 1},
+                     {5 + k, 40 + k}};
+  if (duplicate) delta.following.push_back(graph.following(0));
+  delta.tweeting = {{first, 2}, {first + 1, 5}, {7 + k, 4}};
+  return delta;
+}
+
+/// Fits `world` under `config`, then applies `batches` deltas in turn,
+/// patching the served generation each time and checking it against a
+/// fresh Build of the same state. `batches` == 0 applies one empty delta.
+void ExpectPatchChainEqualsBuild(const synth::SyntheticWorld& world,
+                                 const core::MlpConfig& config, int batches,
+                                 bool duplicate, const std::string& tag) {
+  FitHarness harness(world);
+  core::FitCheckpoint checkpoint;
+  core::FitOptions opts;
+  opts.checkpoint_out = &checkpoint;
+  Result<core::MlpResult> fitted =
+      core::MlpModel(config).Fit(harness.input, opts);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  core::MlpResult result = std::move(*fitted);
+  ReadModelOptions options;
+  options.top_k = 5;
+  Result<ReadModel> served = ReadModel::Build(
+      io::MakeModelSnapshot(harness.input, checkpoint, result), *world.graph,
+      world.gazetteer.get(), options);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ReadModel prev = std::move(*served);
+
+  core::ModelInput input = harness.input;
+  std::unique_ptr<graph::SocialGraph> graph;
+  for (int k = 0; k < std::max(batches, 1); ++k) {
+    const std::string step = tag + " batch " + std::to_string(k);
+    const stream::DeltaBatch delta =
+        batches == 0 ? stream::DeltaBatch()
+                     : PatchDelta(*input.graph, k, duplicate);
+    Result<stream::IngestOutput> out =
+        stream::ApplyDeltaBatch(input, checkpoint, result, delta);
+    ASSERT_TRUE(out.ok()) << step << ": " << out.status().ToString();
+    Result<ReadModel> patched =
+        ReadModel::Patch(prev, out->checkpoint, out->result,
+                         *out->merged_graph, out->report);
+    ASSERT_TRUE(patched.ok()) << step << ": " << patched.status().ToString();
+
+    graph = std::move(out->merged_graph);
+    input.graph = graph.get();
+    input.observed_home = std::move(out->merged_observed_home);
+    checkpoint = std::move(out->checkpoint);
+    result = std::move(out->result);
+    const io::ModelSnapshot snapshot =
+        io::MakeModelSnapshot(input, checkpoint, result);
+    Result<ReadModel> fresh =
+        ReadModel::Build(snapshot, *graph, world.gazetteer.get(), options);
+    ASSERT_TRUE(fresh.ok()) << step << ": " << fresh.status().ToString();
+    ExpectPatchEqualsBuild(*patched, *fresh, *graph, snapshot, step);
+    prev = std::move(*patched);
+  }
+}
+
+TEST(ReadModelPatchTest, SuccessiveBatchesMatchFreshBuildAtEveryThreadCount) {
+  synth::SyntheticWorld world = TestWorld(200, 31);
+  for (int threads : {1, 2, 4}) {
+    core::MlpConfig config = SmallConfig();
+    config.num_threads = threads;
+    ExpectPatchChainEqualsBuild(world, config, 3, false,
+                                "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ReadModelPatchTest, PrunedBaseMatchesFreshBuild) {
+  synth::SyntheticWorld world = TestWorld(200, 8);
+  core::MlpConfig config = SmallConfig();
+  config.num_threads = 2;
+  config.burn_in_iterations = 6;
+  config.prune_floor = 0.2;  // rows compact, so migrated rows remap slots
+  config.prune_patience = 1;
+  ExpectPatchChainEqualsBuild(world, config, 2, false, "pruned");
+}
+
+TEST(ReadModelPatchTest, EmptyDeltaAndDuplicateEdgeMatchFreshBuild) {
+  synth::SyntheticWorld world = TestWorld(160, 17);
+  core::MlpConfig config = SmallConfig();
+  config.num_threads = 2;
+  ExpectPatchChainEqualsBuild(world, config, 0, false, "empty");
+  ExpectPatchChainEqualsBuild(world, config, 2, true, "duplicate");
+}
+
+TEST(ReadModelPatchTest, RejectsMmapBackedOrMismatchedPrev) {
+  synth::SyntheticWorld world = TestWorld(150, 19);
+  FitHarness harness(world);
+  core::FitCheckpoint checkpoint;
+  core::FitOptions opts;
+  opts.checkpoint_out = &checkpoint;
+  Result<core::MlpResult> result =
+      core::MlpModel(SmallConfig()).Fit(harness.input, opts);
+  ASSERT_TRUE(result.ok());
+  const std::string path = TempPath("patch_reject.snap");
+  const io::ModelSnapshot snapshot =
+      io::MakeModelSnapshot(harness.input, checkpoint, *result);
+  ASSERT_TRUE(io::SaveModelSnapshot(path, snapshot).ok());
+  Result<ReadModel> mem =
+      ReadModel::Build(snapshot, *world.graph, world.gazetteer.get());
+  ASSERT_TRUE(mem.ok());
+  ASSERT_TRUE(mem->AppendServeSection(path).ok());
+  Result<ReadModel> mapped =
+      ReadModel::MapServeSection(path, world.gazetteer.get());
+  ASSERT_TRUE(mapped.ok());
+
+  Result<stream::IngestOutput> out = stream::ApplyDeltaBatch(
+      harness.input, checkpoint, *result,
+      PatchDelta(*world.graph, 0, false));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  Result<ReadModel> from_mapped = ReadModel::Patch(
+      *mapped, out->checkpoint, out->result, *out->merged_graph, out->report);
+  EXPECT_EQ(from_mapped.status().code(), StatusCode::kFailedPrecondition);
+
+  // A prev from another world has the wrong shape for this delta.
+  synth::SyntheticWorld other = TestWorld(120, 23);
+  io::ModelSnapshot other_snapshot = FitSnapshot(other, SmallConfig(), "");
+  Result<ReadModel> foreign =
+      ReadModel::Build(other_snapshot, *other.graph, other.gazetteer.get());
+  ASSERT_TRUE(foreign.ok());
+  Result<ReadModel> from_foreign = ReadModel::Patch(
+      *foreign, out->checkpoint, out->result, *out->merged_graph, out->report);
+  EXPECT_EQ(from_foreign.status().code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------- batcher

@@ -77,11 +77,12 @@ scale_serve() {
   log "scale_serve OK"
 }
 
-# ISSUE 10 live ingest+serve daemon: start `serve --spool`, drop three
+# Live ingest+serve daemon: start `serve --spool`, drop three
 # delta batches (one deliberately malformed) while a query hammer runs,
 # and assert the generation advanced twice, the malformed batch was
 # quarantined with a receipt, zero non-2xx responses landed, the drain
-# checkpointed, and the access log covers the whole run.
+# checkpointed, the bodies the live server handed out equal a cold
+# server's over the offline replay, and the access log covers the run.
 live_pipeline() {
   local mlpctl="${1:?mlpctl path}" work="${2:?workdir}"
   rm -rf "$work" && mkdir -p "$work/spool"
@@ -99,18 +100,26 @@ live_pipeline() {
   grep -q "live ingest failed" "$work/badspool.log" \
     || { log "missing fail-fast diagnostic"; cat "$work/badspool.log"; exit 1; }
 
+  # Port a `serve --port 0` reports in its log, once it is listening.
+  served_port() {  # log
+    local found=""
+    for _ in $(seq 1 100); do
+      found=$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "$1" \
+        | head -n1 | grep -oE '[0-9]+$' || true)
+      [ -n "$found" ] && break
+      sleep 0.1
+    done
+    [ -n "$found" ] \
+      || { log "server never reported its port" >&2; cat "$1" >&2; exit 1; }
+    echo "$found"
+  }
+
   "$mlpctl" serve --data "$work/data" --load "$work/model.snap" --port 0 \
     --spool "$work/spool" --spool_poll_ms 50 --save "$work/final.snap" \
     --access_log="$work/access.log" > "$work/serve.log" 2>&1 &
   local serve_pid=$!
-  local port=""
-  for _ in $(seq 1 100); do
-    port=$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "$work/serve.log" \
-      | head -n1 | grep -oE '[0-9]+$' || true)
-    [ -n "$port" ] && break
-    sleep 0.1
-  done
-  [ -n "$port" ] || { log "server never reported its port"; cat "$work/serve.log"; exit 1; }
+  local port
+  port=$(served_port "$work/serve.log")
   log "live server on port $port (pid $serve_pid)"
 
   # Query hammer: loop bounded probes until told to stop, so the 2xx
@@ -176,6 +185,25 @@ live_pipeline() {
   "$mlpctl" probe --port "$port" --target "/v1/user/$users" --count 1
   "$mlpctl" probe --port "$port" --target "/v1/user/$((users + 3))" --count 1
 
+  # What clients receive from the patched live model: every user (new
+  # ones, neighbours such as 5, followed by batch-001's first user, and
+  # users the deltas never touch), the new edge, every old edge of 5, and
+  # every 40th old edge.
+  local targets=("/v1/edge/$users/5") i edge
+  for ((i = 0; i < users + 4; i++)); do targets+=("/v1/user/$i"); done
+  while read -r edge; do targets+=("/v1/edge/$edge"); done < <(awk -F, \
+    'NR > 1 && ($1 == 5 || $2 == 5 || NR % 40 == 0) { print $1 "/" $2 }' \
+    "$work/data/following.csv")
+  save_bodies() {  # port dir
+    mkdir -p "$2"
+    local i=0 target
+    for target in "${targets[@]}"; do
+      "$mlpctl" probe --port "$1" --target "$target" --out "$2/$i" > /dev/null
+      i=$((i + 1))
+    done
+  }
+  save_bodies "$port" "$work/live_bodies"
+
   # Stop the hammer: every bounded probe must have exited 2xx-clean.
   touch "$work/hammer.stop"
   wait "$hammer_pid"
@@ -192,6 +220,31 @@ live_pipeline() {
   [ -s "$work/final.snap" ] || { log "drain checkpoint missing"; exit 1; }
   grep -q 'live ingest: 2 batches applied, 1 quarantined' "$work/serve.log" \
     || { log "drain summary mismatch"; cat "$work/serve.log"; exit 1; }
+
+  # Offline replay of the two applied batches: the drain checkpoint must
+  # equal it byte for byte, and a cold server loading it must serve every
+  # body the live server handed out.
+  "$mlpctl" ingest --data "$work/data" --load "$work/model.snap" \
+    --delta "$work/spool/done/batch-001" --save "$work/replay1.snap" \
+    --save-data "$work/replay1"
+  "$mlpctl" ingest --data "$work/replay1" --load "$work/replay1.snap" \
+    --delta "$work/spool/done/batch-003" --save "$work/replay3.snap" \
+    --save-data "$work/replay3"
+  cmp -s "$work/final.snap" "$work/replay3.snap" \
+    || { log "drain checkpoint differs from the offline replay"; exit 1; }
+  "$mlpctl" serve --data "$work/replay3" --load "$work/replay3.snap" \
+    --port 0 > "$work/cold.log" 2>&1 &
+  local cold_pid=$!
+  local cold_port
+  cold_port=$(served_port "$work/cold.log")
+  save_bodies "$cold_port" "$work/cold_bodies"
+  kill -TERM "$cold_pid"
+  wait "$cold_pid" || { log "cold serve exited nonzero"; cat "$work/cold.log"; exit 1; }
+  for i in "${!targets[@]}"; do
+    cmp -s "$work/live_bodies/$i" "$work/cold_bodies/$i" \
+      || { log "live body for ${targets[$i]} differs from the cold replay's"; exit 1; }
+  done
+  log "live bodies equal the cold replay's for ${#targets[@]} targets"
 
   # Access log covers the whole run: at least every hammer request logged.
   local expect_lines=$((loops * 200)) got_lines

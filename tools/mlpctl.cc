@@ -1310,7 +1310,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   const auto referents = world->vocab.ReferentTable();
   std::unique_ptr<stream::LiveIngestor> ingestor;
   if (!spool.empty()) {
-    live.read_model.top_k = options.top_k;
     ingestor = std::make_unique<stream::LiveIngestor>(
         &server, FullInput(*world, referents), snapshot->checkpoint,
         snapshot->result, live);
