@@ -5,9 +5,8 @@
 //   - serve p50/p99 idle vs. DURING live ingest (the ≤2× acceptance gate),
 //   - swap-visible staleness (now − batch spool mtime at swap),
 //   - ingest throughput (mean apply time per batch).
-// Queries run through ModelServer::Handle() — routing, rendering and the
-// generation-keyed cache, no socket noise. The cache is disabled so every
-// request pays the render path (the honest swap-interference shape).
+// Queries run through ModelServer::Handle() — routing, fragment lookup and
+// rendering against the pinned model, no socket noise.
 // Results land in BENCH_live.json for the CI bench-regression gate.
 //
 // Env overrides: MLP_BENCH_LIVE_USERS (default 1500),
@@ -202,7 +201,6 @@ int main() {
     return 1;
   }
   serve::ServeOptions serve_options;
-  serve_options.cache_mb = 0;  // every request renders — no hit/miss modes
   serve::ModelServer server(std::move(*model), serve_options);
 
   // ---- idle phase: a quiet server, no watcher attached ----

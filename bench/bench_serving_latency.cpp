@@ -9,7 +9,6 @@
 //   - batch-endpoint QPS (POST /v1/batch, 64 lookups per request), whose
 //     coalescing is the serving layer's core throughput lever (acceptance:
 //     >= 3x sequential point QPS at 8 threads),
-//   - cache-hot point QPS (same target re-fetched, sharded LRU hit path),
 // for server thread counts 1/2/4/8. Emits BENCH_serving.json for the CI
 // perf-trajectory artifact next to BENCH_parallel.json / BENCH_pruning.json.
 //
@@ -219,8 +218,7 @@ int main() {
   json.Set("batch_size", static_cast<int64_t>(64));
 
   io::TablePrinter table({"threads", "point QPS", "p50 ms", "p99 ms",
-                          "conc QPS", "batch QPS", "cached QPS",
-                          "batch/point"});
+                          "conc QPS", "batch QPS", "batch/point"});
   double point_qps_8 = 0.0, batch_qps_8 = 0.0;
   for (int threads : {1, 2, 4, 8}) {
     Result<serve::ReadModel> model = serve::ReadModel::Build(
@@ -232,7 +230,6 @@ int main() {
     serve::ServeOptions options;
     options.port = 0;  // ephemeral
     options.threads = threads;
-    options.cache_mb = 0;  // measure the render path, not the cache
     serve::ModelServer server(std::move(*model), options);
     if (!server.Start().ok()) {
       std::fprintf(stderr, "server start failed\n");
@@ -245,20 +242,6 @@ int main() {
     double batch_qps = RunBatch(port, query_users, 64);
     server.Stop();
 
-    // Cache-hot path on a separate server so the cold measurements above
-    // stay uncached.
-    Result<serve::ReadModel> cached_model = serve::ReadModel::Build(
-        snapshot, *world->graph, world->gazetteer.get());
-    serve::ServeOptions cached_options = options;
-    cached_options.cache_mb = 64;
-    serve::ModelServer cached_server(std::move(*cached_model), cached_options);
-    if (!cached_server.Start().ok()) {
-      std::fprintf(stderr, "cached server start failed\n");
-      return 1;
-    }
-    PointRun cached = RunSequentialPoint(cached_server.port(), targets);
-    cached_server.Stop();
-
     double speedup = point.qps > 0.0 ? batch_qps / point.qps : 0.0;
     table.AddRow({std::to_string(threads),
                   StringPrintf("%.0f", point.qps),
@@ -266,7 +249,6 @@ int main() {
                   StringPrintf("%.3f", point.p99_ms),
                   StringPrintf("%.0f", concurrent_qps),
                   StringPrintf("%.0f", batch_qps),
-                  StringPrintf("%.0f", cached.qps),
                   StringPrintf("%.1fx", speedup)});
     std::string prefix = "threads_" + std::to_string(threads) + "_";
     json.Set(prefix + "point_qps", point.qps);
@@ -274,7 +256,6 @@ int main() {
     json.Set(prefix + "point_p99_ms", point.p99_ms);
     json.Set(prefix + "concurrent_qps", concurrent_qps);
     json.Set(prefix + "batch_qps", batch_qps);
-    json.Set(prefix + "cached_qps", cached.qps);
     json.Set(prefix + "batch_speedup", speedup);
     if (threads == 8) {
       point_qps_8 = point.qps;

@@ -15,10 +15,10 @@ const char* RequestStageName(RequestStage stage) {
   switch (stage) {
     case RequestStage::kParse:
       return "parse";
-    case RequestStage::kCacheLookup:
-      return "cache_lookup";
-    case RequestStage::kBatchQueueWait:
-      return "batch_queue_wait";
+    case RequestStage::kLookup:
+      return "lookup";
+    case RequestStage::kRoute:
+      return "route";
     case RequestStage::kRender:
       return "render";
     case RequestStage::kWrite:
@@ -31,10 +31,10 @@ const char* RequestStageCounterName(RequestStage stage) {
   switch (stage) {
     case RequestStage::kParse:
       return kServeStageParseNs;
-    case RequestStage::kCacheLookup:
-      return kServeStageCacheLookupNs;
-    case RequestStage::kBatchQueueWait:
-      return kServeStageBatchQueueWaitNs;
+    case RequestStage::kLookup:
+      return kServeStageLookupNs;
+    case RequestStage::kRoute:
+      return kServeStageRouteNs;
     case RequestStage::kRender:
       return kServeStageRenderNs;
     case RequestStage::kWrite:

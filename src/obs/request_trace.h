@@ -12,26 +12,25 @@ namespace obs {
 /// The per-request stages the serving layer attributes time to (ISSUE 9).
 /// The set is fixed: a stage is an index into a flat array on the trace,
 /// so recording costs two clock reads and one add — no maps, no strings.
+/// The indices are stable (benchmarks read the counters by position).
 enum class RequestStage : int {
-  kParse = 0,          // socket read + HTTP parse of the request
-  kCacheLookup = 1,    // ResponseCache::Get under the pinned generation
-  kBatchQueueWait = 2, // batch chunks waiting for a batch-pool worker
-  kRender = 3,         // ReadModel rendering / fragment assembly
-  kWrite = 4,          // response serialization + socket write
+  kParse = 0,   // socket read + HTTP parse of the request
+  kLookup = 1,  // ReadModel id -> pre-rendered fragment resolution
+  kRoute = 2,   // target split, model pin, id / batch-body decode
+  kRender = 3,  // response body assembly from the fragments
+  kWrite = 4,   // response serialization + socket write
 };
 inline constexpr int kNumRequestStages = 5;
 
-/// Stable display name ("parse", "cache_lookup", ...) for logs and /debug
+/// Stable display name ("parse", "lookup", ...) for logs and /debug
 /// surfaces.
 const char* RequestStageName(RequestStage stage);
 
 // Per-stage aggregate counters (accumulate nanoseconds across requests),
 // scraped from /metricsz and summarized by /statusz.
 inline constexpr char kServeStageParseNs[] = "serve_stage_parse_ns";
-inline constexpr char kServeStageCacheLookupNs[] =
-    "serve_stage_cache_lookup_ns";
-inline constexpr char kServeStageBatchQueueWaitNs[] =
-    "serve_stage_batch_queue_wait_ns";
+inline constexpr char kServeStageLookupNs[] = "serve_stage_lookup_ns";
+inline constexpr char kServeStageRouteNs[] = "serve_stage_route_ns";
 inline constexpr char kServeStageRenderNs[] = "serve_stage_render_ns";
 inline constexpr char kServeStageWriteNs[] = "serve_stage_write_ns";
 
@@ -41,8 +40,7 @@ const char* RequestStageCounterName(RequestStage stage);
 /// Request-scoped trace context: a process-monotonic request id plus
 /// per-stage nanosecond timings. Created by serve::HttpServer when a
 /// request's first byte arrives and threaded through ModelServer →
-/// ResponseCache → RequestBatcher → ReadModel; each layer accumulates into
-/// the stage it owns. One trace belongs to one request and is only ever
+/// ReadModel; each layer accumulates into the stage it owns. One trace belongs to one request and is only ever
 /// touched by the thread serving it — no locking anywhere.
 ///
 /// Cost discipline: when obs::Enabled() is false NowNs() returns 0, so

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -168,7 +169,15 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 }
 
 int64_t JsonValue::AsInt(int64_t fallback) const {
-  return type == Type::kNumber ? static_cast<int64_t>(number) : fallback;
+  // Only an integral number inside int64's range converts: 3.5 must not
+  // truncate to 3, and casting 1e30 (or NaN) to int64 is undefined.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (type != Type::kNumber || !std::isfinite(number) ||
+      number != std::trunc(number) || number < -kTwoTo63 ||
+      number >= kTwoTo63) {
+    return fallback;
+  }
+  return static_cast<int64_t>(number);
 }
 
 double JsonValue::AsDouble(double fallback) const {

@@ -79,6 +79,8 @@ struct JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
+  /// The number as an int64 when it is finite, integral and in range;
+  /// `fallback` otherwise (and for non-numbers).
   int64_t AsInt(int64_t fallback = 0) const;
   double AsDouble(double fallback = 0.0) const;
 };

@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/process_stats.h"
 #include "obs/trace.h"
+#include "serve/request_batcher.h"
 
 namespace mlp {
 namespace serve {
@@ -31,7 +32,7 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
 }
 
 /// Parses a non-negative decimal id occupying all of `text`; -1 otherwise.
-int64_t ParseId(const std::string& text) {
+int64_t ParseId(std::string_view text) {
   if (text.empty() || text.size() > 18) return -1;
   int64_t value = 0;
   for (char c : text) {
@@ -59,6 +60,25 @@ int64_t SteadyNs() {
       .count();
 }
 
+/// Charges the time since `since_ns` to `stage` and returns now, so
+/// back-to-back stages cost one clock read per boundary. A no-op (and 0)
+/// with obs disabled.
+int64_t EndStage(obs::RequestTrace* trace, obs::RequestStage stage,
+                 int64_t since_ns) {
+  const int64_t now_ns = obs::NowNs();
+  if (since_ns > 0) trace->AddStageNs(stage, now_ns - since_ns);
+  return now_ns;
+}
+
+/// A 200 whose body is one pre-rendered fragment, timed as render.
+HttpResponse FragmentResponse(std::string_view fragment,
+                              obs::RequestTrace* trace, int64_t since_ns) {
+  HttpResponse response;
+  response.body.assign(fragment.data(), fragment.size());
+  EndStage(trace, obs::RequestStage::kRender, since_ns);
+  return response;
+}
+
 /// Latency bounds shared by the per-endpoint histograms (same scale as
 /// serve_request_latency_us).
 std::vector<int64_t> LatencyBoundsUs() {
@@ -70,24 +90,17 @@ std::vector<int64_t> LatencyBoundsUs() {
 
 ModelServer::ModelServer(ReadModel model, const ServeOptions& options)
     : options_(options),
-      cache_(static_cast<size_t>(std::max(0, options.cache_mb)) * 1024 * 1024),
       conn_pool_(std::max(1, options.threads)),
-      batch_pool_(std::max(1, options.threads)),
-      batcher_(nullptr, &batch_pool_),
       http_(&conn_pool_),
       slow_ring_(static_cast<size_t>(std::max(1, options.slow_ring_capacity))),
       requests_total_(
           obs::Registry::Global().GetCounter("serve_requests_total")),
       request_latency_us_(obs::Registry::Global().GetHistogram(
           "serve_request_latency_us", LatencyBoundsUs())),
-      user_hit_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_user_hit_latency_us", LatencyBoundsUs())),
-      user_miss_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_user_miss_latency_us", LatencyBoundsUs())),
-      edge_hit_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_edge_hit_latency_us", LatencyBoundsUs())),
-      edge_miss_latency_us_(obs::Registry::Global().GetHistogram(
-          "serve_edge_miss_latency_us", LatencyBoundsUs())),
+      user_latency_us_(obs::Registry::Global().GetHistogram(
+          "serve_user_latency_us", LatencyBoundsUs())),
+      edge_latency_us_(obs::Registry::Global().GetHistogram(
+          "serve_edge_latency_us", LatencyBoundsUs())),
       batch_latency_us_(obs::Registry::Global().GetHistogram(
           "serve_batch_latency_us", LatencyBoundsUs())),
       other_latency_us_(obs::Registry::Global().GetHistogram(
@@ -101,16 +114,14 @@ ModelServer::ModelServer(ReadModel model, const ServeOptions& options)
       other_errors_total_(
           obs::Registry::Global().GetCounter("serve_other_errors_total")),
       slow_requests_total_(
-          obs::Registry::Global().GetCounter("serve_slow_requests_total")) {
+          obs::Registry::Global().GetCounter("serve_slow_requests_total")),
+      mem_readmodel_bytes_(
+          obs::Registry::Global().GetGauge(obs::kMemReadModelBytes)) {
   for (int s = 0; s < obs::kNumRequestStages; ++s) {
     stage_ns_total_[s] = obs::Registry::Global().GetCounter(
         obs::RequestStageCounterName(static_cast<obs::RequestStage>(s)));
   }
-  auto published = std::make_shared<Published>();
-  published->model = std::make_shared<const ReadModel>(std::move(model));
-  published->generation = 1;
-  published_ = std::move(published);
-  swaps_.store(0);
+  Publish(std::move(model), 1);
 }
 
 ModelServer::~ModelServer() { Stop(); }
@@ -139,7 +150,6 @@ Status ModelServer::Start() {
 void ModelServer::Stop() {
   if (stopped_.exchange(true)) return;
   http_.Stop();
-  batch_pool_.Drain();
   conn_pool_.Drain();
   if (access_log_file_ != nullptr) {
     std::fclose(access_log_file_);
@@ -154,21 +164,21 @@ std::shared_ptr<const ModelServer::Published> ModelServer::Pin() const {
   return std::atomic_load(&published_);
 }
 
-void ModelServer::SwapReadModel(ReadModel model) {
-  // Swaps serialize on a control-plane mutex: two concurrent swaps must
-  // not mint the same generation (the cache namespaces by it) or publish
-  // out of order. The data path never takes this lock — requests only
-  // atomic_load the published pair.
-  std::lock_guard<std::mutex> lock(swap_mu_);
+void ModelServer::Publish(ReadModel model, uint64_t generation) {
   auto fresh = std::make_shared<Published>();
   fresh->model = std::make_shared<const ReadModel>(std::move(model));
-  fresh->generation = Pin()->generation + 1;
+  fresh->generation = generation;
+  mem_readmodel_bytes_->Set(fresh->model->AccountedBytes());
   std::atomic_store(&published_,
                     std::shared_ptr<const Published>(std::move(fresh)));
-  // Cache keys carry the generation, so stale bodies are unreachable the
-  // instant the store lands; clearing just hands the byte budget to the
-  // new model without waiting for LRU pressure.
-  cache_.Clear();
+}
+
+void ModelServer::SwapReadModel(ReadModel model) {
+  // Swaps serialize on a control-plane mutex: two concurrent swaps must
+  // not mint the same generation or publish out of order. The data path
+  // never takes this lock — requests only atomic_load the published pair.
+  std::lock_guard<std::mutex> lock(swap_mu_);
+  Publish(std::move(model), Pin()->generation + 1);
   swaps_.fetch_add(1);
   last_swap_ns_.store(SteadyNs());
 }
@@ -187,58 +197,35 @@ uint64_t ModelServer::model_generation() const { return Pin()->generation; }
 
 // --------------------------------------------------------------- routing
 
-HttpResponse ModelServer::CachedGet(
-    const Published& published, const std::string& target,
-    HttpResponse (ModelServer::*render)(const ReadModel&, const std::string&),
-    const std::string& arg, obs::RequestTrace* trace) {
-  // Generation-namespaced key: a body rendered from model generation G can
-  // only ever serve generation G, no matter how requests and swaps race.
-  const std::string key =
-      StringPrintf("g%llu %s",
-                   static_cast<unsigned long long>(published.generation),
-                   target.c_str());
-  HttpResponse response;
-  {
-    obs::RequestTrace::StageTimer timer(trace,
-                                        obs::RequestStage::kCacheLookup);
-    if (cache_.Get(key, &response.body)) {
-      trace->set_outcome("hit");
-      return response;  // cached bodies are always 200/application/json
-    }
-  }
-  trace->set_outcome("miss");
-  {
-    obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
-    response = (this->*render)(*published.model, arg);
-  }
-  if (response.status == 200) cache_.Put(key, response.body);
-  return response;
-}
-
 HttpResponse ModelServer::HandleUser(const ReadModel& model,
-                                     const std::string& rest) {
+                                     std::string_view rest,
+                                     obs::RequestTrace* trace,
+                                     int64_t route_start_ns) {
   user_queries_.fetch_add(1);
   int64_t id = ParseId(rest);
   if (id < 0) {
     errors_.fetch_add(1);
     return ErrorResponse(400, "user id must be a non-negative integer");
   }
+  int64_t clock_ns =
+      EndStage(trace, obs::RequestStage::kRoute, route_start_ns);
   std::string_view fragment = model.UserJson(NarrowUserId(id));
+  clock_ns = EndStage(trace, obs::RequestStage::kLookup, clock_ns);
   if (fragment.empty()) {
     errors_.fetch_add(1);
     return ErrorResponse(404, StringPrintf("no user %lld",
                                            static_cast<long long>(id)));
   }
-  HttpResponse response;
-  response.body.assign(fragment.data(), fragment.size());
-  return response;
+  return FragmentResponse(fragment, trace, clock_ns);
 }
 
 HttpResponse ModelServer::HandleEdge(const ReadModel& model,
-                                     const std::string& rest) {
+                                     std::string_view rest,
+                                     obs::RequestTrace* trace,
+                                     int64_t route_start_ns) {
   edge_queries_.fetch_add(1);
   size_t slash = rest.find('/');
-  if (slash == std::string::npos) {
+  if (slash == std::string_view::npos) {
     errors_.fetch_add(1);
     return ErrorResponse(400, "expected /v1/edge/{src}/{dst}");
   }
@@ -248,8 +235,11 @@ HttpResponse ModelServer::HandleEdge(const ReadModel& model,
     errors_.fetch_add(1);
     return ErrorResponse(400, "edge endpoints must be non-negative integers");
   }
+  int64_t clock_ns =
+      EndStage(trace, obs::RequestStage::kRoute, route_start_ns);
   std::string_view fragment = model.EdgeJson(
       model.FindEdge(NarrowUserId(src), NarrowUserId(dst)));
+  clock_ns = EndStage(trace, obs::RequestStage::kLookup, clock_ns);
   if (fragment.empty()) {
     errors_.fetch_add(1);
     return ErrorResponse(
@@ -257,14 +247,13 @@ HttpResponse ModelServer::HandleEdge(const ReadModel& model,
                           static_cast<long long>(src),
                           static_cast<long long>(dst)));
   }
-  HttpResponse response;
-  response.body.assign(fragment.data(), fragment.size());
-  return response;
+  return FragmentResponse(fragment, trace, clock_ns);
 }
 
 HttpResponse ModelServer::HandleBatch(const ReadModel& model,
                                       const HttpRequest& request,
-                                      obs::RequestTrace* trace) {
+                                      obs::RequestTrace* trace,
+                                      int64_t route_start_ns) {
   Result<JsonValue> parsed = ParseJson(request.body);
   if (!parsed.ok()) {
     errors_.fetch_add(1);
@@ -300,27 +289,18 @@ HttpResponse ModelServer::HandleBatch(const ReadModel& model,
                                NarrowUserId(item.items[1].AsInt(-1)));
     }
   }
+  batches_.fetch_add(1);
   batch_queries_.fetch_add(batch.users.size() + batch.edges.size());
+  EndStage(trace, obs::RequestStage::kRoute, route_start_ns);
 
   HttpResponse response;
-  trace->set_outcome("batch");
-  const int64_t exec_start_ns = obs::NowNs();
-  response.body = batcher_.ExecuteJson(model, batch, trace);
-  if (exec_start_ns > 0) {
-    // The batcher attributed chunk queue wait separately; render is the
-    // execute time minus that wait, so the two stages stay disjoint.
-    const int64_t elapsed = obs::NowNs() - exec_start_ns;
-    trace->AddStageNs(
-        obs::RequestStage::kRender,
-        elapsed - trace->stage_ns(obs::RequestStage::kBatchQueueWait));
-  }
+  response.body = RenderBatchJson(model, batch, trace);
   return response;
 }
 
 HttpResponse ModelServer::HandleStats(const Published& published,
-                                      const std::string& query) {
+                                      std::string_view query) {
   const ReadModel& model = *published.model;
-  const ResponseCache::Stats cache = cache_.GetStats();
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
@@ -346,10 +326,8 @@ HttpResponse ModelServer::HandleStats(const Published& published,
   // to the live process RSS. mmap-backed models account only resident
   // structures — the gap between RSS and the snapshot size is the point.
   add("mmap_backed", model.mmap_backed() ? "1" : "0");
-  const int64_t model_bytes = model.AccountedBytes();
-  obs::Registry::Global().GetGauge(obs::kMemReadModelBytes)->Set(model_bytes);
   obs::UpdateProcessRssGauges();
-  add("mem_readmodel_bytes", std::to_string(model_bytes));
+  add("mem_readmodel_bytes", std::to_string(model.AccountedBytes()));
   add("mem_process_rss_bytes", std::to_string(obs::ProcessRssBytes()));
   add("mem_process_peak_rss_bytes",
       std::to_string(obs::ProcessPeakRssBytes()));
@@ -360,16 +338,9 @@ HttpResponse ModelServer::HandleStats(const Published& published,
   add("user_queries", std::to_string(user_queries_.load()));
   add("edge_queries", std::to_string(edge_queries_.load()));
   add("batch_lookups", std::to_string(batch_queries_.load()));
-  add("batches_executed", std::to_string(batcher_.batches_executed()));
+  add("batches_executed", std::to_string(batches_.load()));
   add("errors", std::to_string(errors_.load()));
-  add("cache_hits", std::to_string(cache.hits));
-  add("cache_misses", std::to_string(cache.misses));
-  add("cache_evictions", std::to_string(cache.evictions));
-  add("cache_entries", std::to_string(cache.entries));
-  add("cache_bytes", std::to_string(cache.bytes));
-  add("cache_capacity_bytes", std::to_string(cache.capacity_bytes));
   add("conn_queue_depth", std::to_string(conn_pool_.queue_depth()));
-  add("batch_queue_depth", std::to_string(batch_pool_.queue_depth()));
   // Live ingest daemon (ISSUE 10): the spool watcher's registry metrics,
   // surfaced here so the CI live-pipeline job (and operators) can poll a
   // single JSON endpoint for swap progress and quarantine counts. All
@@ -412,10 +383,9 @@ HttpResponse ModelServer::HandleStats(const Published& published,
 
 HttpResponse ModelServer::HandleMetrics(const Published& published) {
   // Everything the process-wide registry holds (fit/ingest phase counters,
-  // the request-latency histograms), plus server-local stats rendered in
-  // the same exposition format. Queue depths and cache occupancy are
-  // gauges; the cache tallies are cumulative counters.
-  const ResponseCache::Stats cache = cache_.GetStats();
+  // the request-latency histograms, the read-model footprint gauge set at
+  // each publish), plus server-local stats rendered in the same exposition
+  // format.
   // Every scrape sees the memory picture as of this scrape, not as of the
   // last /statsz visit: refresh VmRSS/VmHWM before rendering.
   obs::UpdateProcessRssGauges();
@@ -428,17 +398,9 @@ HttpResponse ModelServer::HandleMetrics(const Published& published) {
     body += StringPrintf("# TYPE %s gauge\n%s %lld\n", name, name,
                          static_cast<long long>(value));
   };
-  counter("serve_cache_hits", cache.hits);
-  counter("serve_cache_misses", cache.misses);
-  counter("serve_cache_evictions", cache.evictions);
   counter("serve_errors_total", errors_.load());
   counter("serve_model_swaps_total", swaps_.load());
-  gauge("serve_cache_entries", static_cast<int64_t>(cache.entries));
-  gauge("serve_cache_bytes", static_cast<int64_t>(cache.bytes));
-  gauge("serve_cache_capacity_bytes",
-        static_cast<int64_t>(cache.capacity_bytes));
   gauge("serve_conn_queue_depth", conn_pool_.queue_depth());
-  gauge("serve_batch_queue_depth", batch_pool_.queue_depth());
   gauge("serve_model_generation", static_cast<int64_t>(published.generation));
   gauge("serve_seconds_since_last_swap",
         static_cast<int64_t>(SecondsSinceLastSwap()));
@@ -450,7 +412,6 @@ HttpResponse ModelServer::HandleMetrics(const Published& published) {
 
 HttpResponse ModelServer::HandleStatusz(const Published& published) {
   const ReadModel& model = *published.model;
-  const ResponseCache::Stats cache = cache_.GetStats();
   obs::UpdateProcessRssGauges();
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -459,11 +420,6 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
   const uint64_t requests = http_.requests_served();
   const double qps = uptime > 0.0 ? static_cast<double>(requests) / uptime
                                   : 0.0;
-  const uint64_t lookups = cache.hits + cache.misses;
-  const double hit_ratio =
-      lookups > 0 ? static_cast<double>(cache.hits) /
-                        static_cast<double>(lookups)
-                  : 0.0;
 
   std::string body;
   body +=
@@ -488,9 +444,6 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
   row("seconds_since_last_swap",
       StringPrintf("%.1f", SecondsSinceLastSwap()));
   row("model_users", std::to_string(model.num_users()));
-  row("cache_hit_ratio", StringPrintf("%.3f", hit_ratio));
-  row("cache_entries", std::to_string(cache.entries));
-  row("cache_bytes", std::to_string(cache.bytes));
   row("vm_rss_bytes", std::to_string(obs::ProcessRssBytes()));
   row("vm_hwm_bytes", std::to_string(obs::ProcessPeakRssBytes()));
   row("slow_requests_captured", std::to_string(slow_ring_.total_pushed()));
@@ -537,10 +490,8 @@ HttpResponse ModelServer::HandleStatusz(const Published& published) {
         obs::HistogramQuantile(snap, 0.5), obs::HistogramQuantile(snap, 0.99));
   };
   latency_row("all", request_latency_us_);
-  latency_row("user (hit)", user_hit_latency_us_);
-  latency_row("user (miss)", user_miss_latency_us_);
-  latency_row("edge (hit)", edge_hit_latency_us_);
-  latency_row("edge (miss)", edge_miss_latency_us_);
+  latency_row("user", user_latency_us_);
+  latency_row("edge", edge_latency_us_);
   latency_row("batch", batch_latency_us_);
   latency_row("other", other_latency_us_);
   body += "</table>\n";
@@ -680,17 +631,11 @@ void ModelServer::FinishRequest(const HttpRequest& request,
       else if (endpoint == "batch") errors = batch_errors_total_;
       errors->Add(1);
     } else {
-      const std::string_view outcome = trace.outcome();
+      trace.set_outcome("ok");
       obs::Histogram* latency = other_latency_us_;
-      if (endpoint == "user") {
-        latency = outcome == "hit" ? user_hit_latency_us_
-                                   : user_miss_latency_us_;
-      } else if (endpoint == "edge") {
-        latency = outcome == "hit" ? edge_hit_latency_us_
-                                   : edge_miss_latency_us_;
-      } else if (endpoint == "batch") {
-        latency = batch_latency_us_;
-      }
+      if (endpoint == "user") latency = user_latency_us_;
+      else if (endpoint == "edge") latency = edge_latency_us_;
+      else if (endpoint == "batch") latency = batch_latency_us_;
       latency->Record(total_us);
     }
     if (options_.slow_request_us > 0 && total_us >= options_.slow_request_us) {
@@ -703,14 +648,13 @@ void ModelServer::FinishRequest(const HttpRequest& request,
 
 HttpResponse ModelServer::Route(const HttpRequest& request,
                                 obs::RequestTrace* trace) {
-  const std::string& target = request.target;
-  std::string path = target;
-  std::string query;
-  size_t qmark = target.find('?');
-  if (qmark != std::string::npos) {
-    path = target.substr(0, qmark);
-    query = target.substr(qmark + 1);
-  }
+  const int64_t route_start_ns = obs::NowNs();
+  const std::string_view target = request.target;
+  const size_t qmark = target.find('?');
+  const std::string_view path = target.substr(0, qmark);
+  const std::string_view query =
+      qmark == std::string_view::npos ? std::string_view()
+                                      : target.substr(qmark + 1);
 
   // Pin one (model, generation) snapshot for the whole request: a
   // concurrent SwapReadModel can land at any point from here on and this
@@ -758,8 +702,8 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
       errors_.fetch_add(1);
       return ErrorResponse(405, "use GET");
     }
-    return CachedGet(*published, path, &ModelServer::HandleUser,
-                     path.substr(sizeof(kUserPrefix) - 1), trace);
+    return HandleUser(*published->model, path.substr(sizeof(kUserPrefix) - 1),
+                      trace, route_start_ns);
   }
   if (path.rfind(kEdgePrefix, 0) == 0) {
     trace->set_endpoint("edge");
@@ -767,8 +711,8 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
       errors_.fetch_add(1);
       return ErrorResponse(405, "use GET");
     }
-    return CachedGet(*published, path, &ModelServer::HandleEdge,
-                     path.substr(sizeof(kEdgePrefix) - 1), trace);
+    return HandleEdge(*published->model, path.substr(sizeof(kEdgePrefix) - 1),
+                      trace, route_start_ns);
   }
   if (path == "/v1/batch") {
     trace->set_endpoint("batch");
@@ -776,10 +720,10 @@ HttpResponse ModelServer::Route(const HttpRequest& request,
       errors_.fetch_add(1);
       return ErrorResponse(405, "use POST");
     }
-    return HandleBatch(*published->model, request, trace);
+    return HandleBatch(*published->model, request, trace, route_start_ns);
   }
   errors_.fetch_add(1);
-  return ErrorResponse(404, "unknown endpoint " + path);
+  return ErrorResponse(404, "unknown endpoint " + std::string(path));
 }
 
 }  // namespace serve

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "engine/thread_pool.h"
@@ -17,8 +18,6 @@
 #include "serve/http_server.h"
 #include "serve/json.h"
 #include "serve/read_model.h"
-#include "serve/request_batcher.h"
-#include "serve/response_cache.h"
 
 namespace mlp {
 namespace serve {
@@ -27,11 +26,8 @@ namespace serve {
 struct ServeOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port.
   int port = 8080;
-  /// Worker threads serving connections; a second pool of the same size
-  /// fans out large batch requests.
+  /// Worker threads serving connections.
   int threads = 4;
-  /// Response-cache budget; 0 disables caching.
-  int cache_mb = 16;
   /// Profile entries served per user (ReadModelOptions::top_k).
   int top_k = 10;
   /// Structured JSON access log, one line per request (`mlpctl serve
@@ -50,8 +46,9 @@ struct ServeOptions {
 
 /// The online query front end over one fitted model (ISSUE 4 / ROADMAP
 /// "serving layer"): an immutable ReadModel behind a minimal HTTP/1.1
-/// server, with a sharded LRU response cache on the GET endpoints and a
-/// RequestBatcher turning POST /v1/batch payloads into vectorized scans.
+/// server. The request path is HttpServer → ModelServer → ReadModel: every
+/// /v1 read answers straight from the model's pre-rendered JSON fragments
+/// (a point query is one substring copy, a batch a concatenation of them).
 ///
 /// Endpoints (all JSON; see src/serve/README.md for shapes):
 ///   GET  /v1/user/{id}         posterior location profile + home of a user
@@ -61,18 +58,18 @@ struct ServeOptions {
 ///   GET  /statsz               server/model counters (?format=csv for CSV)
 ///   GET  /metricsz             Prometheus text exposition (scrape target)
 ///   GET  /statusz              human-readable HTML dashboard (QPS,
-///                              per-endpoint p50/p99, cache hit ratio,
-///                              model generation/staleness, RSS)
+///                              per-endpoint p50/p99, model
+///                              generation/staleness, RSS)
 ///   GET  /debug/slowz          last-N slow requests with stage breakdowns
 ///
-/// Threading: connections run on `conn_pool_`, batch fan-out on
-/// `batch_pool_` (two pools because ThreadPool tasks must not block on
-/// their own pool). Each ReadModel is immutable after Build; the server
-/// publishes the CURRENT one behind an atomic shared_ptr so streaming
-/// ingest can swap in a post-delta model while the server runs
-/// (SwapReadModel): every request pins one (model, generation) snapshot up
-/// front and renders entirely against it, so in-flight queries finish on
-/// the model they started with and the swap never blocks the data path.
+/// Threading: connections run on `conn_pool_`, and each request is
+/// answered inline on its connection's thread. Each ReadModel is immutable
+/// after Build; the server publishes the CURRENT one behind an atomic
+/// shared_ptr so streaming ingest can swap in a post-delta model while the
+/// server runs (SwapReadModel): every request pins one (model, generation)
+/// snapshot up front and renders entirely against it, so in-flight queries
+/// finish on the model they started with and the swap never blocks the
+/// data path.
 class ModelServer {
  public:
   ModelServer(ReadModel model, const ServeOptions& options);
@@ -87,17 +84,15 @@ class ModelServer {
   bool running() const { return http_.running(); }
 
   /// Graceful shutdown: stop accepting, finish in-flight requests, drain
-  /// both pools. Safe to call from a signal-driven main loop; idempotent.
+  /// the pool. Safe to call from a signal-driven main loop; idempotent.
   void Stop();
 
   /// Atomically publishes `model` as the serving view (streaming ingest:
   /// the post-delta snapshot's ReadModel). Requests that already pinned
   /// the previous model finish on it — the shared_ptr keeps it alive until
   /// the last one returns — while every new request sees the new model.
-  /// The response cache keys carry the model generation, so stale cached
-  /// bodies can never serve the new generation; the cache is also cleared
-  /// to hand the space to the fresh model immediately. Safe to call from
-  /// any thread, any number of times.
+  /// Refreshes the mem_readmodel_bytes gauge. Safe to call from any
+  /// thread, any number of times.
   void SwapReadModel(ReadModel model);
 
   /// Pins and returns the currently published model.
@@ -122,45 +117,44 @@ class ModelServer {
   /// server calls this as its handler.
   HttpResponse HandleTraced(const HttpRequest& request,
                             obs::RequestTrace* trace);
-  /// Completion hook: finishes the trace (idempotent), records the
-  /// per-endpoint/per-outcome latency histograms, stage counters and error
-  /// counters, captures slow requests into the /debug/slowz ring, and
-  /// emits the access-log line.
+  /// Completion hook: finishes the trace (idempotent), labels its outcome
+  /// ok/error, records the per-endpoint latency histograms, stage counters
+  /// and error counters, captures slow requests into the /debug/slowz
+  /// ring, and emits the access-log line.
   void FinishRequest(const HttpRequest& request, const HttpResponse& response,
                      obs::RequestTrace& trace);
 
  private:
   /// One published (model, generation) pair — swapped as a unit so a
-  /// request can never pair the new model with the old generation's cache
-  /// namespace (or vice versa).
+  /// request's trace always names the generation it rendered from.
   struct Published {
     std::shared_ptr<const ReadModel> model;
     uint64_t generation = 1;
   };
 
   std::shared_ptr<const Published> Pin() const;
+  /// Publishes `model` under `generation` and refreshes the
+  /// mem_readmodel_bytes gauge, so a scraper sees the served model's
+  /// footprint without ever visiting /statsz.
+  void Publish(ReadModel model, uint64_t generation);
 
-  HttpResponse HandleUser(const ReadModel& model, const std::string& rest);
-  HttpResponse HandleEdge(const ReadModel& model, const std::string& rest);
+  /// The /v1 reads. `rest` is the target after the endpoint prefix;
+  /// `route_start_ns` is when routing began: the route stage runs until
+  /// the ids are decoded, then lookup and render are charged in turn.
+  HttpResponse HandleUser(const ReadModel& model, std::string_view rest,
+                          obs::RequestTrace* trace, int64_t route_start_ns);
+  HttpResponse HandleEdge(const ReadModel& model, std::string_view rest,
+                          obs::RequestTrace* trace, int64_t route_start_ns);
   HttpResponse HandleBatch(const ReadModel& model, const HttpRequest& request,
-                           obs::RequestTrace* trace);
+                           obs::RequestTrace* trace, int64_t route_start_ns);
   HttpResponse HandleStats(const Published& published,
-                           const std::string& query);
+                           std::string_view query);
   HttpResponse HandleMetrics(const Published& published);
   HttpResponse HandleStatusz(const Published& published);
   HttpResponse HandleSlowz();
   /// The actual router; HandleTraced() wraps it with request counting and
   /// labels the trace with endpoint/generation.
   HttpResponse Route(const HttpRequest& request, obs::RequestTrace* trace);
-  /// GET-endpoint cache wrapper: serves `target` from the cache (keyed
-  /// under the pinned generation) or renders via `render` and inserts.
-  /// Attributes cache probe time to the cache_lookup stage and render time
-  /// to the render stage, and labels the trace outcome hit/miss.
-  HttpResponse CachedGet(
-      const Published& published, const std::string& target,
-      HttpResponse (ModelServer::*render)(const ReadModel&,
-                                          const std::string&),
-      const std::string& arg, obs::RequestTrace* trace);
   /// Appends one structured JSON access-log line for a finished request.
   void WriteAccessLog(const HttpRequest& request,
                       const obs::RequestTrace& trace);
@@ -173,16 +167,14 @@ class ModelServer {
   /// never touched on the request path.
   std::mutex swap_mu_;
   ServeOptions options_;
-  ResponseCache cache_;
   engine::ThreadPool conn_pool_;
-  engine::ThreadPool batch_pool_;
-  RequestBatcher batcher_;
   HttpServer http_;
   std::atomic<bool> stopped_{false};
 
   std::atomic<uint64_t> user_queries_{0};
   std::atomic<uint64_t> edge_queries_{0};
   std::atomic<uint64_t> batch_queries_{0};
+  std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> swaps_{0};
   std::chrono::steady_clock::time_point start_time_;
@@ -202,12 +194,10 @@ class ModelServer {
   // Registry-owned handles (process-lifetime; see src/obs/README.md).
   obs::Counter* requests_total_;
   obs::Histogram* request_latency_us_;
-  // Per-endpoint, per-outcome latency histograms (error responses are
-  // counted, not histogrammed).
-  obs::Histogram* user_hit_latency_us_;
-  obs::Histogram* user_miss_latency_us_;
-  obs::Histogram* edge_hit_latency_us_;
-  obs::Histogram* edge_miss_latency_us_;
+  // Per-endpoint latency histograms (error responses are counted, not
+  // histogrammed).
+  obs::Histogram* user_latency_us_;
+  obs::Histogram* edge_latency_us_;
   obs::Histogram* batch_latency_us_;
   obs::Histogram* other_latency_us_;
   obs::Counter* user_errors_total_;
@@ -215,6 +205,7 @@ class ModelServer {
   obs::Counter* batch_errors_total_;
   obs::Counter* other_errors_total_;
   obs::Counter* slow_requests_total_;
+  obs::Gauge* mem_readmodel_bytes_;
   // serve_stage_*_ns, indexed by obs::RequestStage.
   obs::Counter* stage_ns_total_[obs::kNumRequestStages];
 };

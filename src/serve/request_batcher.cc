@@ -1,240 +1,43 @@
 #include "serve/request_batcher.h"
 
-#include <algorithm>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <numeric>
 #include <string_view>
-
-#include "common/logging.h"
 
 namespace mlp {
 namespace serve {
 
-namespace {
-
-/// Completion latch for one batch's chunks: counts down as chunks finish,
-/// releases the batch's own waiter. Deliberately not ThreadPool::Wait —
-/// that is pool-wide and would make concurrent batches barrier on each
-/// other's work.
-class Latch {
- public:
-  explicit Latch(int count) : remaining_(count) {}
-
-  void CountDown() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--remaining_ == 0) cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int remaining_;
-};
-
-/// Splits [0, total) into non-empty chunk ranges sized for `pool`. A
-/// single range means "run inline".
-std::vector<std::pair<int, int>> ChunkRanges(engine::ThreadPool* pool,
-                                             int total, int min_parallel) {
-  std::vector<std::pair<int, int>> ranges;
-  if (total <= 0) return ranges;
-  const int threads = pool == nullptr ? 1 : pool->size();
-  if (pool == nullptr || total < min_parallel || threads <= 1) {
-    ranges.emplace_back(0, total);
-    return ranges;
-  }
-  const int chunks = std::min(threads * 2, (total + min_parallel - 1) /
-                                               std::max(1, min_parallel / 2));
-  const int chunk_size = (total + chunks - 1) / chunks;
-  for (int begin = 0; begin < total; begin += chunk_size) {
-    ranges.emplace_back(begin, std::min(total, begin + chunk_size));
-  }
-  return ranges;
-}
-
-/// Runs `work(chunk, begin, end)` for every range — on `pool` when there
-/// is more than one range, inline otherwise. Chunks write disjoint output
-/// slots, so no locking inside `work`. Returns the batch's queue wait:
-/// submit until the FIRST chunk started running on a pool worker (0 for
-/// inline execution or when observability is disabled).
-int64_t RunChunks(engine::ThreadPool* pool,
-                  const std::vector<std::pair<int, int>>& ranges,
-                  const std::function<void(int, int, int)>& work) {
-  if (ranges.empty()) return 0;
-  if (ranges.size() == 1 || pool == nullptr) {
-    for (size_t c = 0; c < ranges.size(); ++c) {
-      work(static_cast<int>(c), ranges[c].first, ranges[c].second);
+std::string RenderBatchJson(const ReadModel& model, const BatchRequest& request,
+                            obs::RequestTrace* trace) {
+  std::vector<std::string_view> fragments;
+  fragments.reserve(request.users.size() + request.edges.size());
+  {
+    obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kLookup);
+    for (graph::UserId user : request.users) {
+      fragments.push_back(model.UserJson(user));
     }
-    return 0;
-  }
-  const int64_t submit_ns = obs::NowNs();
-  std::atomic<int64_t> first_start_ns{0};
-  Latch latch(static_cast<int>(ranges.size()));
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    const int chunk = static_cast<int>(c);
-    const int begin = ranges[c].first;
-    const int end = ranges[c].second;
-    bool submitted = pool->Submit([&, chunk, begin, end] {
-      if (submit_ns > 0) {
-        // One winner stamps the first-execution time; everyone else's CAS
-        // fails and costs one relaxed load.
-        int64_t expected = 0;
-        first_start_ns.compare_exchange_strong(expected, obs::NowNs(),
-                                               std::memory_order_relaxed);
-      }
-      work(chunk, begin, end);
-      latch.CountDown();
-    });
-    if (!submitted) {
-      // Pool draining (server shutdown): fall back to inline so the batch
-      // still completes before the connection unwinds.
-      work(chunk, begin, end);
-      latch.CountDown();
+    for (const auto& [src, dst] : request.edges) {
+      fragments.push_back(model.EdgeJson(model.FindEdge(src, dst)));
     }
   }
-  latch.Wait();
-  const int64_t first = first_start_ns.load(std::memory_order_relaxed);
-  return (submit_ns > 0 && first > submit_ns) ? first - submit_ns : 0;
-}
 
-}  // namespace
-
-RequestBatcher::RequestBatcher(const ReadModel* model,
-                               engine::ThreadPool* pool,
-                               int min_parallel_items)
-    : model_(model), pool_(pool), min_parallel_items_(min_parallel_items) {}
-
-BatchResult RequestBatcher::Execute(const BatchRequest& request) const {
-  // The stored model is optional (ModelServer passes nullptr and always
-  // uses the explicit-model overloads); calling the legacy form without
-  // one is a caller bug, not a crash site.
-  MLP_CHECK(model_ != nullptr);
-  return Execute(*model_, request);
-}
-
-BatchResult RequestBatcher::Execute(const ReadModel& model,
-                                    const BatchRequest& request) const {
-  BatchResult result;
-  result.users.resize(request.users.size());
-  result.user_found.assign(request.users.size(), 0);
-  result.edges.resize(request.edges.size());
-  result.edge_found.assign(request.edges.size(), 0);
-
-  // Visit lookups in user-id order so the flat profile CSR / degree / edge
-  // columns are walked near-sequentially; answers land at their original
-  // slots, so callers see request order.
-  std::vector<int32_t> user_order(request.users.size());
-  std::iota(user_order.begin(), user_order.end(), 0);
-  std::sort(user_order.begin(), user_order.end(), [&](int32_t a, int32_t b) {
-    return request.users[a] < request.users[b];
-  });
-  std::vector<int32_t> edge_order(request.edges.size());
-  std::iota(edge_order.begin(), edge_order.end(), 0);
-  std::sort(edge_order.begin(), edge_order.end(), [&](int32_t a, int32_t b) {
-    return request.edges[a] < request.edges[b];
-  });
-
-  RunChunks(pool_,
-            ChunkRanges(pool_, static_cast<int>(user_order.size()),
-                        min_parallel_items_),
-            [&](int, int begin, int end) {
-              for (int pos = begin; pos < end; ++pos) {
-                const int32_t i = user_order[pos];
-                result.user_found[i] =
-                    model.GetUser(request.users[i], &result.users[i]) ? 1 : 0;
-              }
-            });
-  RunChunks(pool_,
-            ChunkRanges(pool_, static_cast<int>(edge_order.size()),
-                        min_parallel_items_),
-            [&](int, int begin, int end) {
-              for (int pos = begin; pos < end; ++pos) {
-                const int32_t i = edge_order[pos];
-                const auto& [src, dst] = request.edges[i];
-                result.edge_found[i] =
-                    model.GetEdge(src, dst, &result.edges[i]) ? 1 : 0;
-              }
-            });
-
-  batches_.fetch_add(1);
-  lookups_.fetch_add(request.users.size() + request.edges.size());
-  return result;
-}
-
-std::string RequestBatcher::ExecuteJson(const BatchRequest& request) const {
-  MLP_CHECK(model_ != nullptr);
-  return ExecuteJson(*model_, request);
-}
-
-std::string RequestBatcher::ExecuteJson(const ReadModel& model,
-                                        const BatchRequest& request,
-                                        obs::RequestTrace* trace) const {
-  const auto user_ranges = ChunkRanges(
-      pool_, static_cast<int>(request.users.size()), min_parallel_items_);
-  const auto edge_ranges = ChunkRanges(
-      pool_, static_cast<int>(request.edges.size()), min_parallel_items_);
-  std::vector<std::string> user_parts(user_ranges.size());
-  std::vector<std::string> edge_parts(edge_ranges.size());
-
-  // Each chunk concatenates its slice of pre-rendered fragments in request
-  // order — a sequential scan over the fragment blob for clustered ids.
-  int64_t queue_wait_ns = 0;
-  queue_wait_ns += RunChunks(pool_, user_ranges,
-                             [&](int chunk, int begin, int end) {
-    std::string& out = user_parts[chunk];
-    for (int i = begin; i < end; ++i) {
-      if (i > begin) out += ',';
-      std::string_view fragment = model.UserJson(request.users[i]);
-      if (fragment.empty()) {
-        out += "null";
-      } else {
-        out.append(fragment.data(), fragment.size());
-      }
-    }
-  });
-  queue_wait_ns += RunChunks(pool_, edge_ranges,
-                             [&](int chunk, int begin, int end) {
-    std::string& out = edge_parts[chunk];
-    for (int i = begin; i < end; ++i) {
-      if (i > begin) out += ',';
-      std::string_view fragment = model.EdgeJson(
-          model.FindEdge(request.edges[i].first, request.edges[i].second));
-      if (fragment.empty()) {
-        out += "null";
-      } else {
-        out.append(fragment.data(), fragment.size());
-      }
-    }
-  });
-  if (trace != nullptr) {
-    trace->AddStageNs(obs::RequestStage::kBatchQueueWait, queue_wait_ns);
-  }
-
+  obs::RequestTrace::StageTimer timer(trace, obs::RequestStage::kRender);
+  constexpr std::string_view kNull = "null";
   size_t total = 32;
-  for (const std::string& part : user_parts) total += part.size() + 1;
-  for (const std::string& part : edge_parts) total += part.size() + 1;
+  for (std::string_view fragment : fragments) {
+    total += (fragment.empty() ? kNull.size() : fragment.size()) + 1;
+  }
   std::string body;
   body.reserve(total);
+  auto join = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (i > begin) body += ',';
+      body += fragments[i].empty() ? kNull : fragments[i];
+    }
+  };
   body += "{\"users\":[";
-  for (size_t c = 0; c < user_parts.size(); ++c) {
-    if (c > 0) body += ',';
-    body += user_parts[c];
-  }
+  join(0, request.users.size());
   body += "],\"edges\":[";
-  for (size_t c = 0; c < edge_parts.size(); ++c) {
-    if (c > 0) body += ',';
-    body += edge_parts[c];
-  }
+  join(request.users.size(), fragments.size());
   body += "]}";
-
-  batches_.fetch_add(1);
-  lookups_.fetch_add(request.users.size() + request.edges.size());
   return body;
 }
 

@@ -1,12 +1,10 @@
 #ifndef MLP_SERVE_REQUEST_BATCHER_H_
 #define MLP_SERVE_REQUEST_BATCHER_H_
 
-#include <atomic>
-#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "obs/request_trace.h"
 #include "serve/read_model.h"
 
@@ -19,67 +17,14 @@ struct BatchRequest {
   std::vector<std::pair<graph::UserId, graph::UserId>> edges;
 };
 
-/// Answers aligned 1:1 with the request vectors; `found` is false for
-/// out-of-range users / absent edges (the matching answer slot is then
-/// default-constructed).
-struct BatchResult {
-  std::vector<UserAnswer> users;
-  std::vector<uint8_t> user_found;
-  std::vector<EdgeAnswer> edges;
-  std::vector<uint8_t> edge_found;
-};
-
-/// Turns N point lookups into vectorized scans over the read model's flat
-/// arrays. Two levers over per-request point queries:
-///   - lookups are executed sorted by user id (original order restored on
-///     output), so the profile CSR and degree arrays are walked mostly
-///     sequentially instead of randomly; and
-///   - batches past `min_parallel_items` are chunked across the batch
-///     ThreadPool, each chunk writing disjoint output slots, with a
-///     per-batch completion latch (no pool-wide Wait, so concurrent
-///     batches never serialize each other).
-///
-/// The pool must NOT be the one the caller itself runs on (ThreadPool
-/// tasks must not block on their own pool) — ModelServer hands the batcher
-/// a dedicated batch pool for exactly this reason.
-class RequestBatcher {
- public:
-  /// `model` and `pool` are borrowed. `pool` may be null: every batch then
-  /// runs inline on the calling thread (still sorted/vectorized). `model`
-  /// may be null when every call uses the explicit-model overloads below —
-  /// ModelServer does exactly that, because its current model is swappable
-  /// (SwapReadModel) and each request pins its own snapshot.
-  RequestBatcher(const ReadModel* model, engine::ThreadPool* pool,
-                 int min_parallel_items = 512);
-
-  BatchResult Execute(const BatchRequest& request) const;
-  /// Same, against an explicitly pinned model instead of the stored one.
-  BatchResult Execute(const ReadModel& model,
-                      const BatchRequest& request) const;
-
-  /// The POST /v1/batch hot path: assembles the full response body
-  /// ({"users":[...],"edges":[...]}, `null` for missing entries) directly
-  /// from the read model's pre-rendered fragments — per chunk a sequential
-  /// concatenation scan, chunks across the batch pool. No per-request JSON
-  /// rendering at all.
-  /// When `trace` is non-null the time the batch's chunks spent queued
-  /// behind other work on the batch pool (submit → first chunk running) is
-  /// attributed to the batch_queue_wait stage; inline execution counts as
-  /// zero wait.
-  std::string ExecuteJson(const BatchRequest& request) const;
-  std::string ExecuteJson(const ReadModel& model, const BatchRequest& request,
-                          obs::RequestTrace* trace = nullptr) const;
-
-  uint64_t batches_executed() const { return batches_; }
-  uint64_t lookups_executed() const { return lookups_; }
-
- private:
-  const ReadModel* model_;
-  engine::ThreadPool* pool_;
-  int min_parallel_items_;
-  mutable std::atomic<uint64_t> batches_{0};
-  mutable std::atomic<uint64_t> lookups_{0};
-};
+/// Renders the POST /v1/batch response body, {"users":[...],"edges":[...]},
+/// in request order on the calling thread: each slot is the pre-rendered
+/// fragment the point endpoint serves for that id, byte for byte, or
+/// `null` for an out-of-range user or an absent edge. Resolving the
+/// fragments is charged to `trace`'s lookup stage and joining them to its
+/// render stage; `trace` may be null.
+std::string RenderBatchJson(const ReadModel& model, const BatchRequest& request,
+                            obs::RequestTrace* trace);
 
 }  // namespace serve
 }  // namespace mlp

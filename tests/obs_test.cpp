@@ -340,9 +340,9 @@ TEST(RequestTraceTest, StageAccumulationAndDefaults) {
 TEST(RequestTraceTest, StageTimerRecordsElapsedAndToleratesNull) {
   RequestTrace trace;
   {
-    RequestTrace::StageTimer timer(&trace, RequestStage::kCacheLookup);
+    RequestTrace::StageTimer timer(&trace, RequestStage::kLookup);
   }
-  EXPECT_GT(trace.stage_ns(RequestStage::kCacheLookup), 0);
+  EXPECT_GT(trace.stage_ns(RequestStage::kLookup), 0);
   {
     RequestTrace::StageTimer timer(nullptr, RequestStage::kRender);
   }  // must not crash
@@ -381,12 +381,22 @@ TEST(RequestTraceTest, RebaseStartMovesTheClockBack) {
 
 TEST(RequestTraceTest, StageNamesAndCounterNamesAlign) {
   EXPECT_STREQ(RequestStageName(RequestStage::kParse), "parse");
-  EXPECT_STREQ(RequestStageName(RequestStage::kBatchQueueWait),
-               "batch_queue_wait");
+  EXPECT_STREQ(RequestStageName(RequestStage::kLookup), "lookup");
+  EXPECT_STREQ(RequestStageName(RequestStage::kRoute), "route");
   EXPECT_STREQ(RequestStageCounterName(RequestStage::kParse),
                kServeStageParseNs);
+  EXPECT_STREQ(RequestStageCounterName(RequestStage::kLookup),
+               kServeStageLookupNs);
+  EXPECT_STREQ(RequestStageCounterName(RequestStage::kRoute),
+               kServeStageRouteNs);
   EXPECT_STREQ(RequestStageCounterName(RequestStage::kWrite),
                kServeStageWriteNs);
+  // Positions are part of the contract: consumers read the stage counters
+  // by index.
+  static_assert(kNumRequestStages == 5);
+  static_assert(static_cast<int>(RequestStage::kParse) == 0);
+  static_assert(static_cast<int>(RequestStage::kRender) == 3);
+  static_assert(static_cast<int>(RequestStage::kWrite) == 4);
 }
 
 // -------------------------------------------------------- slow-query ring
@@ -435,7 +445,7 @@ TEST(RingLogTest, ZeroCapacityClampsToOne) {
 TEST(RingLogTest, MakeRecordFlattensTheTrace) {
   RequestTrace trace;
   trace.set_endpoint("user");
-  trace.set_outcome("miss");
+  trace.set_outcome("ok");
   trace.set_status(200);
   trace.set_generation(3);
   trace.AddStageNs(RequestStage::kRender, 1234);
@@ -445,7 +455,7 @@ TEST(RingLogTest, MakeRecordFlattensTheTrace) {
   EXPECT_EQ(record.total_ns, trace.total_ns());
   EXPECT_EQ(record.stage_ns[static_cast<int>(RequestStage::kRender)], 1234);
   EXPECT_STREQ(record.endpoint, "user");
-  EXPECT_STREQ(record.outcome, "miss");
+  EXPECT_STREQ(record.outcome, "ok");
   EXPECT_EQ(record.status, 200);
   EXPECT_EQ(record.generation, 3u);
   EXPECT_EQ(record.method, "GET");

@@ -1,12 +1,13 @@
 // Tests for the online query subsystem (src/serve/): JSON round-trips,
-// LRU cache behavior, snapshot → ReadModel parity (v1 and v2/pruned
-// formats), the request batcher, and full HTTP round trips against a
+// snapshot → ReadModel parity (v1 and v2/pruned formats), the batch
+// renderer, and full HTTP round trips against a
 // ModelServer on an ephemeral port — including the acceptance contract
 // that served posteriors are byte-consistent with MlpResult.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -28,7 +29,6 @@
 #include "serve/model_server.h"
 #include "serve/read_model.h"
 #include "serve/request_batcher.h"
-#include "serve/response_cache.h"
 #include "stream/delta_batch.h"
 #include "stream/delta_ingest.h"
 #include "synth/world_generator.h"
@@ -162,44 +162,6 @@ TEST(JsonTest, ParserRejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("nul").ok());
   // Nesting bomb stays bounded instead of overflowing the stack.
   EXPECT_FALSE(ParseJson(std::string(5000, '[')).ok());
-}
-
-// ------------------------------------------------------------------ cache
-
-TEST(ResponseCacheTest, HitMissAndLruEviction) {
-  // One shard, tiny budget, so eviction order is observable.
-  ResponseCache cache(3 * 70, 1);
-  std::string value;
-  EXPECT_FALSE(cache.Get("a", &value));
-  cache.Put("a", "1");
-  cache.Put("b", "2");
-  cache.Put("c", "3");
-  EXPECT_TRUE(cache.Get("a", &value));
-  EXPECT_EQ(value, "1");
-  // "b" is now least recent; inserting "d" evicts it.
-  cache.Put("d", "4");
-  EXPECT_FALSE(cache.Get("b", &value));
-  EXPECT_TRUE(cache.Get("a", &value));
-  EXPECT_TRUE(cache.Get("d", &value));
-  ResponseCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 3u);  // a, a, d
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_GE(stats.evictions, 1u);
-}
-
-TEST(ResponseCacheTest, ZeroCapacityDisablesCaching) {
-  ResponseCache cache(0);
-  cache.Put("a", "1");
-  std::string value;
-  EXPECT_FALSE(cache.Get("a", &value));
-}
-
-TEST(ResponseCacheTest, OversizedEntriesAreNotCached) {
-  ResponseCache cache(128, 1);
-  cache.Put("big", std::string(4096, 'x'));
-  std::string value;
-  EXPECT_FALSE(cache.Get("big", &value));
-  EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
 // -------------------------------------------------- fit/snapshot fixtures
@@ -806,43 +768,73 @@ TEST(RequestBatcherTest, BatchAnswersEqualPointAnswers) {
   Result<ReadModel> model =
       ReadModel::Build(snapshot, *world.graph, world.gazetteer.get());
   ASSERT_TRUE(model.ok());
+  ModelServer server(std::move(*model), ServeOptions());
 
-  engine::ThreadPool pool(4);
-  // min_parallel_items = 8 forces the chunked parallel path.
-  RequestBatcher batcher(&*model, &pool, 8);
   BatchRequest request;
-  for (graph::UserId u = model->num_users() - 1; u >= 0; --u) {
-    request.users.push_back(u);  // reverse order: exercises the sort
+  for (graph::UserId u = server.model()->num_users() - 1; u >= 0; --u) {
+    request.users.push_back(u);  // reverse order
   }
-  request.users.push_back(10 * model->num_users());  // missing
-  for (graph::EdgeId s = 0; s < std::min(50, model->num_edges()); ++s) {
+  request.users.push_back(10 * server.model()->num_users());  // missing
+  for (graph::EdgeId s = 0; s < std::min(50, server.model()->num_edges());
+       ++s) {
     const graph::FollowingEdge& edge = world.graph->following(s);
     request.edges.emplace_back(edge.follower, edge.friend_user);
   }
-  request.edges.emplace_back(-5, -6);  // missing
+  graph::UserId stranger = 0;
+  while (server.model()->FindEdge(0, stranger) >= 0) ++stranger;
+  request.edges.emplace_back(0, stranger);  // missing
 
-  BatchResult result = batcher.Execute(request);
-  ASSERT_EQ(result.users.size(), request.users.size());
-  ASSERT_EQ(result.edges.size(), request.edges.size());
+  // The expected body is the point endpoint's answers joined: each 200
+  // body verbatim, `null` for each 404.
+  auto point_body = [&](const std::string& target) {
+    HttpRequest point;
+    point.method = "GET";
+    point.target = target;
+    HttpResponse response = server.Handle(point);
+    EXPECT_TRUE(response.status == 200 || response.status == 404) << target;
+    return response.status == 200 ? response.body : std::string("null");
+  };
+  std::string expected = "{\"users\":[";
+  std::string payload = "{\"users\":[";
   for (size_t i = 0; i < request.users.size(); ++i) {
-    UserAnswer point;
-    bool found = model->GetUser(request.users[i], &point);
-    ASSERT_EQ(result.user_found[i] != 0, found) << i;
-    if (!found) continue;
-    EXPECT_EQ(result.users[i].user, point.user);
-    EXPECT_EQ(result.users[i].home, point.home);
-    EXPECT_EQ(result.users[i].entries, point.entries);
-    EXPECT_EQ(result.users[i].entry_count, point.entry_count);
+    if (i > 0) {
+      expected += ',';
+      payload += ',';
+    }
+    expected += point_body("/v1/user/" + std::to_string(request.users[i]));
+    payload += std::to_string(request.users[i]);
   }
+  expected += "],\"edges\":[";
+  payload += "],\"edges\":[";
   for (size_t i = 0; i < request.edges.size(); ++i) {
-    EdgeAnswer point;
-    bool found =
-        model->GetEdge(request.edges[i].first, request.edges[i].second, &point);
-    ASSERT_EQ(result.edge_found[i] != 0, found) << i;
-    if (!found) continue;
-    EXPECT_EQ(result.edges[i].edge, point.edge);
-    EXPECT_EQ(result.edges[i].noise_prob, point.noise_prob);
+    const std::string src = std::to_string(request.edges[i].first);
+    const std::string dst = std::to_string(request.edges[i].second);
+    if (i > 0) {
+      expected += ',';
+      payload += ',';
+    }
+    expected += point_body("/v1/edge/" + src + "/" + dst);
+    payload += "[" + src + "," + dst + "]";
   }
+  expected += "]}";
+  payload += "]}";
+  // Both missing entries (each list's last slot) answer null.
+  EXPECT_NE(expected.find("null],\"edges\":["), std::string::npos);
+  EXPECT_EQ(expected.rfind("null]}"), expected.size() - 6);
+
+  EXPECT_EQ(RenderBatchJson(*server.model(), request, nullptr), expected);
+  // The same bytes through POST /v1/batch.
+  HttpRequest batch;
+  batch.method = "POST";
+  batch.target = "/v1/batch";
+  batch.body = payload;
+  HttpResponse response = server.Handle(batch);
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(response.body, expected);
+
+  // An empty batch still has both arrays.
+  EXPECT_EQ(RenderBatchJson(*server.model(), BatchRequest(), nullptr),
+            "{\"users\":[],\"edges\":[]}");
 }
 
 // ------------------------------------------------------- http round trips
@@ -876,10 +868,9 @@ class ModelServerTest : public ::testing::Test {
   }
 
   /// Starts a fresh server on an ephemeral port.
-  std::unique_ptr<ModelServer> StartServer(int threads = 4, int cache_mb = 4) {
+  std::unique_ptr<ModelServer> StartServer(int threads = 4) {
     ServeOptions options;
     options.threads = threads;
-    options.cache_mb = cache_mb;
     return StartServerWithOptions(options);
   }
 
@@ -915,13 +906,12 @@ TEST_F(ModelServerTest, HealthzAndStatsz) {
   EXPECT_EQ(csv->status, 200);
   EXPECT_EQ(csv->body.rfind("stat,value\n", 0), 0u) << csv->body;
 
-  // Cache byte budget and pool queue depths are part of the operator
-  // surface in every format.
-  EXPECT_NE(stats_json->Find("cache_bytes"), nullptr);
-  EXPECT_NE(stats_json->Find("cache_capacity_bytes"), nullptr);
+  // The read model's footprint, the batch count and the one pool's queue
+  // depth are part of the operator surface in every format.
+  EXPECT_NE(stats_json->Find("mem_readmodel_bytes"), nullptr);
+  EXPECT_NE(stats_json->Find("batches_executed"), nullptr);
   EXPECT_NE(stats_json->Find("conn_queue_depth"), nullptr);
-  EXPECT_NE(stats_json->Find("batch_queue_depth"), nullptr);
-  EXPECT_NE(csv->body.find("batch_queue_depth,"), std::string::npos);
+  EXPECT_NE(csv->body.find("conn_queue_depth,"), std::string::npos);
 }
 
 TEST_F(ModelServerTest, MetricszServesPrometheusExposition) {
@@ -948,16 +938,12 @@ TEST_F(ModelServerTest, MetricszServesPrometheusExposition) {
   EXPECT_NE(body.find("serve_request_latency_us_sum"), std::string::npos);
   EXPECT_NE(body.find("serve_request_latency_us_count"), std::string::npos);
 
-  // Cache counters and occupancy gauges, queue depths, model generation.
-  EXPECT_NE(body.find("# TYPE serve_cache_hits counter"), std::string::npos);
-  EXPECT_NE(body.find("# TYPE serve_cache_misses counter"),
+  // Fragment-lookup time and the read-model footprint, the queue depth,
+  // model generation.
+  EXPECT_NE(body.find("# TYPE serve_stage_lookup_ns counter"),
             std::string::npos);
-  EXPECT_NE(body.find("# TYPE serve_cache_bytes gauge"), std::string::npos);
-  EXPECT_NE(body.find("# TYPE serve_cache_capacity_bytes gauge"),
-            std::string::npos);
+  EXPECT_NE(body.find("# TYPE mem_readmodel_bytes gauge"), std::string::npos);
   EXPECT_NE(body.find("# TYPE serve_conn_queue_depth gauge"),
-            std::string::npos);
-  EXPECT_NE(body.find("# TYPE serve_batch_queue_depth gauge"),
             std::string::npos);
   EXPECT_NE(body.find("serve_model_generation 1"), std::string::npos);
 
@@ -1052,8 +1038,13 @@ TEST_F(ModelServerTest, EdgeEndpointServesExplanations) {
 TEST_F(ModelServerTest, BatchEndpointMatchesPointQueries) {
   auto server = StartServer();
   const graph::FollowingEdge& edge = world_->graph->following(0);
-  std::string body = "{\"users\":[0,1,999999],\"edges\":[[" +
+  // Ids that are not int64 integers answer null, never a truncated or
+  // overflowed id (3.5 is not user 3).
+  std::string body = "{\"users\":[0,1,999999,3.5,1e30,-1e30,1e19],"
+                     "\"edges\":[[" +
                      std::to_string(edge.follower) + "," +
+                     std::to_string(edge.friend_user) + "],[" +
+                     std::to_string(edge.follower) + ".5," +
                      std::to_string(edge.friend_user) + "]]}";
   Result<HttpResponse> batch =
       HttpFetch("127.0.0.1", server->port(), "POST", "/v1/batch", body);
@@ -1063,10 +1054,16 @@ TEST_F(ModelServerTest, BatchEndpointMatchesPointQueries) {
   ASSERT_TRUE(parsed.ok());
   const JsonValue* users = parsed->Find("users");
   ASSERT_NE(users, nullptr);
-  ASSERT_EQ(users->items.size(), 3u);
-  EXPECT_EQ(users->items[2].type, JsonValue::Type::kNull);  // 999999
+  ASSERT_EQ(users->items.size(), 7u);
+  EXPECT_TRUE(users->items[0].is_object());
+  EXPECT_TRUE(users->items[1].is_object());
+  for (size_t i = 2; i < users->items.size(); ++i) {
+    EXPECT_EQ(users->items[i].type, JsonValue::Type::kNull) << i;
+  }
   const JsonValue* edges = parsed->Find("edges");
-  ASSERT_EQ(edges->items.size(), 1u);
+  ASSERT_EQ(edges->items.size(), 2u);
+  EXPECT_TRUE(edges->items[0].is_object());
+  EXPECT_EQ(edges->items[1].type, JsonValue::Type::kNull);
 
   // The batch user objects are rendered by the same code path as the
   // point endpoint, so the point body appears verbatim inside the batch
@@ -1082,24 +1079,6 @@ TEST_F(ModelServerTest, BatchEndpointMatchesPointQueries) {
       HttpFetch("127.0.0.1", server->port(), "POST", "/v1/batch", "{nope");
   ASSERT_TRUE(rejected.ok());
   EXPECT_EQ(rejected->status, 400);
-}
-
-TEST_F(ModelServerTest, CacheServesRepeatLookups) {
-  auto server = StartServer();
-  for (int i = 0; i < 3; ++i) {
-    Result<HttpResponse> response =
-        HttpFetch("127.0.0.1", server->port(), "GET", "/v1/user/3");
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->status, 200);
-  }
-  Result<HttpResponse> stats =
-      HttpFetch("127.0.0.1", server->port(), "GET", "/statsz");
-  ASSERT_TRUE(stats.ok());
-  Result<JsonValue> parsed = ParseJson(stats->body);
-  ASSERT_TRUE(parsed.ok());
-  // First lookup missed and populated; the two repeats hit.
-  EXPECT_EQ(parsed->Find("cache_hits")->string_value, "2");
-  EXPECT_EQ(parsed->Find("cache_misses")->string_value, "1");
 }
 
 TEST_F(ModelServerTest, UnknownEndpointsAnd404s) {
@@ -1135,18 +1114,26 @@ TEST_F(ModelServerTest, UnknownEndpointsAnd404s) {
 
 TEST_F(ModelServerTest, MetricszExposesPerEndpointAndStageSeries) {
   auto server = StartServer();
-  // One miss then one hit on the same user primes both outcome histograms.
+  const graph::FollowingEdge& edge = world_->graph->following(0);
   ASSERT_TRUE(
       HttpFetch("127.0.0.1", server->port(), "GET", "/v1/user/1").ok());
-  ASSERT_TRUE(
-      HttpFetch("127.0.0.1", server->port(), "GET", "/v1/user/1").ok());
+  ASSERT_TRUE(HttpFetch("127.0.0.1", server->port(), "GET",
+                        "/v1/edge/" + std::to_string(edge.follower) + "/" +
+                            std::to_string(edge.friend_user))
+                  .ok());
   Result<HttpResponse> metrics =
       HttpFetch("127.0.0.1", server->port(), "GET", "/metricsz");
   ASSERT_TRUE(metrics.ok());
   const std::string& body = metrics->body;
-  EXPECT_NE(body.find("# TYPE serve_user_miss_latency_us histogram"),
+  // One latency histogram per endpoint, and the route and lookup stages
+  // the /v1 reads just ran through.
+  EXPECT_NE(body.find("# TYPE serve_user_latency_us histogram"),
             std::string::npos);
-  EXPECT_NE(body.find("# TYPE serve_user_hit_latency_us histogram"),
+  EXPECT_NE(body.find("# TYPE serve_edge_latency_us histogram"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE serve_stage_route_ns counter"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE serve_stage_lookup_ns counter"),
             std::string::npos);
   EXPECT_NE(body.find("# TYPE serve_stage_render_ns counter"),
             std::string::npos);
@@ -1156,6 +1143,40 @@ TEST_F(ModelServerTest, MetricszExposesPerEndpointAndStageSeries) {
   // Satellite: the scrape refreshes the process RSS gauges in place.
   EXPECT_NE(body.find("mem_process_rss_bytes"), std::string::npos);
   EXPECT_NE(body.find("mem_process_peak_rss_bytes"), std::string::npos);
+}
+
+/// The mem_readmodel_bytes sample of a /metricsz body; -1 when absent.
+int64_t ScrapedReadModelBytes(const std::string& metrics) {
+  const std::string needle = "\nmem_readmodel_bytes ";
+  const size_t at = metrics.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::strtoll(metrics.c_str() + at + needle.size(), nullptr, 10);
+}
+
+TEST_F(ModelServerTest, MetricszReadModelBytesTracksEveryPublish) {
+  // Two different footprints of the same fit: top-2 profiles are smaller.
+  Result<ReadModel> full = ReadModel::Build(*snapshot_, *world_->graph,
+                                            world_->gazetteer.get());
+  ReadModelOptions small_options;
+  small_options.top_k = 2;
+  Result<ReadModel> small = ReadModel::Build(
+      *snapshot_, *world_->graph, world_->gazetteer.get(), small_options);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(small.ok());
+  const int64_t full_bytes = full->AccountedBytes();
+  const int64_t small_bytes = small->AccountedBytes();
+  ASSERT_NE(full_bytes, small_bytes);
+
+  // /metricsz alone, never /statsz: the gauge is set when a model is
+  // published, not when an operator happens to look.
+  ModelServer server(std::move(*full), ServeOptions());
+  HttpRequest scrape;
+  scrape.method = "GET";
+  scrape.target = "/metricsz";
+  EXPECT_EQ(ScrapedReadModelBytes(server.Handle(scrape).body), full_bytes);
+  server.SwapReadModel(std::move(*small));
+  EXPECT_EQ(ScrapedReadModelBytes(server.Handle(scrape).body), small_bytes);
+  EXPECT_EQ(server.model()->AccountedBytes(), small_bytes);
 }
 
 TEST_F(ModelServerTest, StatuszDashboardReportsLatencyAndModelState) {
@@ -1172,10 +1193,10 @@ TEST_F(ModelServerTest, StatuszDashboardReportsLatencyAndModelState) {
   EXPECT_EQ(body.rfind("<!DOCTYPE html>", 0), 0u);
   EXPECT_NE(body.find("model_generation"), std::string::npos);
   EXPECT_NE(body.find("seconds_since_last_swap"), std::string::npos);
-  EXPECT_NE(body.find("cache_hit_ratio"), std::string::npos);
   EXPECT_NE(body.find("vm_rss_bytes"), std::string::npos);
   EXPECT_NE(body.find("<th>p99</th>"), std::string::npos);
-  EXPECT_NE(body.find("user (miss)"), std::string::npos);
+  EXPECT_NE(body.find("<tr><td>user</td>"), std::string::npos);
+  EXPECT_NE(body.find("<tr><td>edge</td>"), std::string::npos);
   EXPECT_NE(body.find("qps"), std::string::npos);
 }
 
@@ -1214,8 +1235,8 @@ TEST_F(ModelServerTest, SlowzCapturesStageBreakdownsAndHonorsCapacity) {
     const JsonValue* stages = record.Find("stages");
     ASSERT_NE(stages, nullptr);
     EXPECT_NE(stages->Find("parse_us"), nullptr);
-    EXPECT_NE(stages->Find("cache_lookup_us"), nullptr);
-    EXPECT_NE(stages->Find("batch_queue_wait_us"), nullptr);
+    EXPECT_NE(stages->Find("lookup_us"), nullptr);
+    EXPECT_NE(stages->Find("route_us"), nullptr);
     EXPECT_NE(stages->Find("render_us"), nullptr);
     EXPECT_NE(stages->Find("write_us"), nullptr);
   }

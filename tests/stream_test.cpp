@@ -414,6 +414,7 @@ TEST(SwapReadModelTest, PublishesIngestedViewAtomically) {
   request.target = "/v1/user/0";
   EXPECT_EQ(server.Handle(request).status, 200);
   const std::string body_before = server.Handle(request).body;
+  EXPECT_EQ(body_before, std::string(server.model()->UserJson(0)));
   request.target = new_user_target;
   EXPECT_EQ(server.Handle(request).status, 404);  // not in the base world
   EXPECT_EQ(server.model_generation(), 1u);
@@ -427,9 +428,12 @@ TEST(SwapReadModelTest, PublishesIngestedViewAtomically) {
   request.target = "/v1/user/0";
   serve::HttpResponse after = server.Handle(request);
   EXPECT_EQ(after.status, 200);
-  // Generation-keyed cache: the pre-swap cached body cannot leak into the
-  // post-swap view; the fresh body renders from the new model.
+  // Reads answer straight from the pinned model: the post-swap body is the
+  // new model's fragment, and the generation labels it.
   EXPECT_EQ(after.body, std::string(server.model()->UserJson(0)));
+  request.target = "/metricsz";
+  EXPECT_NE(server.Handle(request).body.find("serve_model_generation 2"),
+            std::string::npos);
 
   request.target = "/statsz";
   serve::HttpResponse stats = server.Handle(request);
