@@ -4,7 +4,8 @@
 // under it, versus a quiet server:
 //   - serve p50/p99 idle vs. DURING live ingest (the ≤2× acceptance gate),
 //   - swap-visible staleness (now − batch spool mtime at swap),
-//   - ingest throughput (mean apply time per batch).
+//   - ingest throughput (mean apply time per batch), and its split over
+//     the six ingest stage counters (apply_stage_*_ms, ungated).
 // Queries run through ModelServer::Handle() — routing, fragment lookup and
 // rendering against the pinned model, no socket noise.
 // Results land in BENCH_live.json for the CI bench-regression gate.
@@ -237,6 +238,27 @@ int main() {
   const obs::Histogram::Snapshot apply_before =
       registry.GetHistogram(obs::kIngestApplyNs, obs::IngestApplyNsBounds())
           ->GetSnapshot();
+  // The six stage counters that tile ingest_apply_ns: their per-batch
+  // means show where mean_apply_ms goes.
+  struct Stage {
+    const char* key;
+    obs::Counter* counter;
+    uint64_t before;
+  };
+  std::vector<Stage> stages = {
+      {"apply_stage_merge_ms", registry.GetCounter(obs::kIngestMergeNs), 0},
+      {"apply_stage_migrate_ms", registry.GetCounter(obs::kIngestMigrateNs),
+       0},
+      {"apply_stage_resample_setup_ms",
+       registry.GetCounter(obs::kIngestResampleSetupNs), 0},
+      {"apply_stage_resample_ms", registry.GetCounter(obs::kIngestResampleNs),
+       0},
+      {"apply_stage_result_merge_ms",
+       registry.GetCounter(obs::kIngestResultMergeNs), 0},
+      {"apply_stage_publish_ms", registry.GetCounter(obs::kIngestPublishNs),
+       0},
+  };
+  for (Stage& stage : stages) stage.before = stage.counter->Value();
 
   std::printf("live phase: %d batches x %d users under query load...\n",
               batches, batch_users);
@@ -280,6 +302,12 @@ int main() {
                           : 0.0;
   const double p99_ratio =
       idle.p99_us > 0.0 ? live.p99_us / idle.p99_us : 0.0;
+  auto stage_mean_ms = [&](const Stage& stage) {
+    return apply_count > 0
+               ? static_cast<double>(stage.counter->Value() - stage.before) /
+                     1e6 / static_cast<double>(apply_count)
+               : 0.0;
+  };
 
   std::printf(
       "\nidle:  p50 %.2fus  p99 %.2fus  %.0f qps (%llu requests)\n"
@@ -292,6 +320,11 @@ int main() {
       p99_ratio, static_cast<unsigned long long>(applied), mean_apply_ms,
       apply_per_sec,
       static_cast<long long>(ingestor.max_swap_staleness_ms()));
+  std::printf("apply stages per batch:");
+  for (const Stage& stage : stages) {
+    std::printf(" %s %.1fms", stage.key, stage_mean_ms(stage));
+  }
+  std::printf("\n");
 
   bench::BenchJson json;
   json.Set("bench", std::string("live_ingest"));
@@ -311,6 +344,7 @@ int main() {
   json.Set("batches_applied", static_cast<int64_t>(applied));
   json.Set("mean_apply_ms", mean_apply_ms);
   json.Set("apply_batches_per_sec", apply_per_sec);
+  for (const Stage& stage : stages) json.Set(stage.key, stage_mean_ms(stage));
   json.Set("max_swap_staleness_ms",
            static_cast<int64_t>(ingestor.max_swap_staleness_ms()));
   json.WriteTo(bench::BenchJsonPath("BENCH_live.json"));

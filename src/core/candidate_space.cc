@@ -44,6 +44,116 @@ CandidateSpace CandidateSpace::Build(const ModelInput& input,
   return space;
 }
 
+CandidateSpace CandidateSpace::Extend(const CandidateSpace& base,
+                                      const ModelInput& merged,
+                                      const MlpConfig& config,
+                                      const std::vector<graph::UserId>& rederive,
+                                      std::vector<graph::UserId>* changed) {
+  const int old_users = base.num_users();
+  const int num_users = merged.num_users();
+  MLP_CHECK(num_users >= old_users);
+  CandidateSpace space;
+  space.num_locations_ = merged.num_locations();
+  space.num_venues_ = config.source == ObservationSource::kFollowingOnly
+                          ? 0
+                          : merged.num_venues();
+  space.full_offset_.reserve(num_users + 1);
+  space.full_gamma_sum_.reserve(num_users);
+  space.full_offset_.push_back(0);
+
+  // Base users [begin, end) verbatim, as contiguous runs of every flat
+  // buffer.
+  auto carry = [&](graph::UserId begin, graph::UserId end) {
+    if (begin >= end) return;
+    const int64_t from = base.full_offset_[begin];
+    const int64_t to = base.full_offset_[end];
+    const int64_t shift = space.full_offset_.back() - from;
+    for (graph::UserId u = begin; u < end; ++u) {
+      space.full_offset_.push_back(base.full_offset_[u + 1] + shift);
+    }
+    space.full_candidates_.insert(space.full_candidates_.end(),
+                                  base.full_candidates_.begin() + from,
+                                  base.full_candidates_.begin() + to);
+    space.full_gamma_.insert(space.full_gamma_.end(),
+                             base.full_gamma_.begin() + from,
+                             base.full_gamma_.begin() + to);
+    space.active_.insert(space.active_.end(), base.active_.begin() + from,
+                         base.active_.begin() + to);
+    space.cold_streak_.insert(space.cold_streak_.end(),
+                              base.cold_streak_.begin() + from,
+                              base.cold_streak_.begin() + to);
+    space.full_gamma_sum_.insert(space.full_gamma_sum_.end(),
+                                 base.full_gamma_sum_.begin() + begin,
+                                 base.full_gamma_sum_.begin() + end);
+  };
+
+  const std::vector<int> fallback = FallbackCities(merged, config);
+  std::vector<geo::CityId> scratch;
+  graph::UserId next = 0;  // first user not yet emitted
+  for (graph::UserId u : rederive) {
+    MLP_CHECK(u >= next && u < num_users);
+    carry(next, std::min(u, old_users));
+    MLP_CHECK(static_cast<int>(space.full_gamma_sum_.size()) == u);
+    next = u + 1;
+    const UserPrior prior = BuildUserPrior(merged, config, fallback, u, &scratch);
+    const int n = prior.size();
+    const size_t at = space.full_candidates_.size();
+    space.full_candidates_.insert(space.full_candidates_.end(),
+                                  prior.candidates.begin(),
+                                  prior.candidates.end());
+    space.full_gamma_.insert(space.full_gamma_.end(), prior.gamma.begin(),
+                             prior.gamma.end());
+    space.full_gamma_sum_.push_back(prior.gamma_sum);
+    space.full_offset_.push_back(static_cast<int64_t>(at) + n);
+    space.active_.resize(at + n, 1);
+    space.cold_streak_.resize(at + n, 0);
+    if (u >= old_users) continue;
+
+    const int n_old = base.full_count(u);
+    const geo::CityId* row_old = base.full_row(u);
+    const double* g_old = base.full_gamma_row(u);
+    const int64_t old_off = base.full_offset_[u];
+    if (n == n_old &&
+        std::equal(prior.candidates.begin(), prior.candidates.end(),
+                   row_old) &&
+        std::equal(prior.gamma.begin(), prior.gamma.end(), g_old)) {
+      std::copy(base.active_.begin() + old_off,
+                base.active_.begin() + old_off + n,
+                space.active_.begin() + at);
+      std::copy(base.cold_streak_.begin() + old_off,
+                base.cold_streak_.begin() + old_off + n,
+                space.cold_streak_.begin() + at);
+      continue;
+    }
+    // Stale row: carry each surviving city's activation by value; new
+    // cities start active.
+    changed->push_back(u);
+    bool any_active = n == 0;
+    for (int l = 0; l < n; ++l) {
+      const int ol = FindCandidateSlot(row_old, n_old, prior.candidates[l]);
+      if (ol >= 0) {
+        space.active_[at + l] = base.active_[old_off + ol];
+        space.cold_streak_[at + l] = base.cold_streak_[old_off + ol];
+      }
+      any_active = any_active || space.active_[at + l] != 0;
+    }
+    if (!any_active) {
+      // Every carried slot was pruned and nothing new arrived active —
+      // reopen the whole row rather than strand the user.
+      std::fill(space.active_.begin() + at, space.active_.end(), 1);
+      std::fill(space.cold_streak_.begin() + at, space.cold_streak_.end(),
+                0);
+    }
+  }
+  carry(next, old_users);
+  MLP_CHECK(static_cast<int>(space.full_gamma_sum_.size()) == num_users);
+
+  space.version_ = base.version_ + 1;
+  space.history_ = base.history_;
+  space.RebuildActiveView();
+  return space;
+}
+
 double CandidateSpace::ActiveFraction() const {
   return full_size() == 0
              ? 1.0

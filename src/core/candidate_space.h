@@ -85,6 +85,24 @@ class CandidateSpace {
   /// to the priors BuildPriors returned.
   static CandidateSpace Build(const ModelInput& input, const MlpConfig& config);
 
+  /// The space of a delta-merged world (core::MlpModel::ApplyDelta),
+  /// derived from `base` — the space of the world `merged` extends, its
+  /// activation restored — instead of rebuilt: BuildPriors is per user, so
+  /// only the rows the delta reaches can differ. Users in `rederive`
+  /// (ascending; every user at or past base.num_users() must be listed)
+  /// get BuildUserPrior rows over `merged`; everyone else keeps base's full
+  /// row, activation and cold streaks verbatim. A re-derived existing row
+  /// that differs from base's is appended to `*changed`: each surviving
+  /// city keeps its activation and streak, new cities start active, and
+  /// the whole row reopens if nothing in it would stay active. New users
+  /// start fully active. `layout_version` is base's + 1 — one ingest is
+  /// one layout generation — and the prune history carries over.
+  static CandidateSpace Extend(const CandidateSpace& base,
+                               const ModelInput& merged,
+                               const MlpConfig& config,
+                               const std::vector<graph::UserId>& rederive,
+                               std::vector<graph::UserId>* changed);
+
   CandidateSpace() = default;
   /// Move-only: views_ holds raw pointers into the flat buffers, which
   /// vector moves preserve but copies would leave aliasing the source.

@@ -456,8 +456,13 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     return Status::InvalidArgument(
         "base result does not match the base input's shape");
   }
-  if ((use_following && static_cast<int>(base.sampler.mu.size()) != s_old) ||
-      (use_tweeting && static_cast<int>(base.sampler.nu.size()) != k_old)) {
+  if ((use_following &&
+       (base.sampler.mu.size() != static_cast<size_t>(s_old) ||
+        base.sampler.x_idx.size() != static_cast<size_t>(s_old) ||
+        base.sampler.y_idx.size() != static_cast<size_t>(s_old))) ||
+      (use_tweeting &&
+       (base.sampler.nu.size() != static_cast<size_t>(k_old) ||
+        base.sampler.z_idx.size() != static_cast<size_t>(k_old)))) {
     return Status::InvalidArgument(
         "base checkpoint sampler state does not match the base input");
   }
@@ -500,93 +505,65 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
         "(fingerprint mismatch)");
   }
   MLP_RETURN_NOT_OK(old_space.RestoreActivation(base.activation));
-
-  // Rebuild the candidate universe over the merged world, then migrate the
-  // base activation onto it: BuildPriors is per-user, so only users
-  // adjacent to delta evidence grow/reshape their rows — everyone else's
-  // row is carried verbatim (pruned slots stay pruned, streaks continue).
-  CandidateSpace space = CandidateSpace::Build(merged_input, config_);
-
-  // Expanded (per-full-slot) base activation; an empty mask means fully
-  // active, exactly as RestoreActivation interprets it.
-  std::vector<uint8_t> old_active = base.activation.active;
-  std::vector<int32_t> old_streak = base.activation.cold_streak;
-  if (old_active.empty()) old_active.assign(old_space.full_size(), 1);
-  if (old_streak.empty()) old_streak.assign(old_space.full_size(), 0);
-
-  std::vector<int64_t> old_full_off(old_users + 1, 0);
-  for (graph::UserId u = 0; u < old_users; ++u) {
-    old_full_off[u + 1] = old_full_off[u] + old_space.full_count(u);
+  const SuffStatsLayout& old_layout = old_space.layout();
+  if (static_cast<int64_t>(base.sampler.phi.size()) != old_layout.phi_size() ||
+      base.sampler.phi_total.size() != static_cast<size_t>(old_users) ||
+      static_cast<int64_t>(base.sampler.venue_counts.size()) !=
+          old_layout.venue_size() ||
+      base.sampler.venue_counts_total.size() !=
+          static_cast<size_t>(old_layout.num_venues > 0
+                                  ? old_layout.num_locations
+                                  : 0)) {
+    return Status::InvalidArgument(
+        "base checkpoint counts do not match the base candidate layout");
   }
-
-  CandidateActivation activation;
-  activation.active.assign(space.full_size(), 1);
-  activation.cold_streak.assign(space.full_size(), 0);
-  // One ingest = one layout generation: consumers keyed on layout_version
-  // (engine replicas, serve::ReadModel, /statsz) see the bump.
-  activation.layout_version = base.activation.layout_version + 1;
-  activation.history = base.activation.history;
 
   DeltaReport report;
   report.new_users = merged_users - old_users;
   report.new_following = s_new - s_old;
   report.new_tweeting = k_new - k_old;
 
+  // Derive the merged candidate universe from the base one: BuildPriors is
+  // per user and reads only the user's own label, its neighbors' labels
+  // and its tweeted venues, and existing labels cannot change — so only
+  // new users and endpoints of appended edges can get a different row.
+  // Everyone else's row is carried verbatim (pruned slots stay pruned,
+  // streaks continue).
   std::vector<uint8_t> touched(merged_users, 0);
-  for (graph::UserId u = old_users; u < merged_users; ++u) touched[u] = 1;
-
-  int64_t new_off = 0;
-  for (graph::UserId u = 0; u < merged_users; ++u) {
-    const int n_new = space.full_count(u);
-    if (u < old_users) {
-      const int n_old = old_space.full_count(u);
-      const geo::CityId* row_new = space.full_row(u);
-      const geo::CityId* row_old = old_space.full_row(u);
-      const double* g_new = space.full_gamma_row(u);
-      const double* g_old = old_space.full_gamma_row(u);
-      const bool identical = n_new == n_old &&
-                             std::equal(row_new, row_new + n_new, row_old) &&
-                             std::equal(g_new, g_new + n_new, g_old);
-      if (identical) {
-        std::copy(old_active.begin() + old_full_off[u],
-                  old_active.begin() + old_full_off[u + 1],
-                  activation.active.begin() + new_off);
-        std::copy(old_streak.begin() + old_full_off[u],
-                  old_streak.begin() + old_full_off[u + 1],
-                  activation.cold_streak.begin() + new_off);
-      } else {
-        // Stale row: carry each surviving city's activation by value; new
-        // cities start active. The user's γ changed, so it must resample.
-        touched[u] = 1;
-        ++report.migrated_rows;
-        bool any_active = n_new == 0;
-        for (int l = 0; l < n_new; ++l) {
-          const int ol = FindCandidateSlot(row_old, n_old, row_new[l]);
-          if (ol >= 0) {
-            activation.active[new_off + l] = old_active[old_full_off[u] + ol];
-            activation.cold_streak[new_off + l] =
-                old_streak[old_full_off[u] + ol];
-          }
-          any_active = any_active || activation.active[new_off + l] != 0;
-        }
-        if (!any_active) {
-          // Every carried slot was pruned and nothing new arrived active —
-          // reopen the whole row rather than strand the user.
-          for (int l = 0; l < n_new; ++l) {
-            activation.active[new_off + l] = 1;
-            activation.cold_streak[new_off + l] = 0;
-          }
-        }
-      }
+  std::vector<graph::UserId> rederive;
+  for (graph::EdgeId s = s_old; s < s_new; ++s) {
+    const graph::FollowingEdge& edge = new_graph.following(s);
+    rederive.push_back(edge.follower);
+    rederive.push_back(edge.friend_user);
+    if (use_following) {
+      touched[edge.follower] = 1;
+      touched[edge.friend_user] = 1;
     }
-    new_off += n_new;
   }
-  MLP_RETURN_NOT_OK(space.RestoreActivation(activation));
+  for (graph::EdgeId k = k_old; k < k_new; ++k) {
+    rederive.push_back(new_graph.tweeting(k).user);
+    if (use_tweeting) touched[new_graph.tweeting(k).user] = 1;
+  }
+  for (graph::UserId u = old_users; u < merged_users; ++u) {
+    rederive.push_back(u);
+    touched[u] = 1;
+  }
+  std::sort(rederive.begin(), rederive.end());
+  rederive.erase(std::unique(rederive.begin(), rederive.end()),
+                 rederive.end());
+  // Stale rows (the user's γ changed, so it must resample).
+  std::vector<graph::UserId> changed;
+  CandidateSpace space = CandidateSpace::Extend(old_space, merged_input,
+                                                config_, rederive, &changed);
+  report.migrated_rows = static_cast<int32_t>(changed.size());
+  for (graph::UserId u : changed) touched[u] = 1;
 
-  // Migrate the chain: every carried assignment's slot is re-found by city
-  // in the merged active row; a vanished slot (the row lost that city, or
-  // carried it pruned) redirects to the user's best prior slot — that user
-  // is then stale by definition and resamples immediately.
+  // Migrate the chain. A user whose row and activation were carried keeps
+  // its active row slot for slot, so its assignments carry over as they
+  // are; only the assignments of stale rows are re-found by city in the
+  // merged active row. A vanished slot (the row lost that city, or
+  // carried it pruned) redirects to the user's best prior slot — the user
+  // is stale anyway and resamples immediately.
   auto redirect_slot = [&](graph::UserId u) -> int32_t {
     const CandidateView& view = space.view(u);
     int best = 0;
@@ -599,51 +576,60 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     }
     return best;
   };
-  MigratedChain chain;
-  chain.home_change_per_sweep = base.sampler.home_change_per_sweep;
-  auto remap = [&](graph::UserId u, int32_t old_slot,
-                   int32_t* out) -> Status {
+  auto remap = [&](graph::UserId u, int32_t* slot) -> Status {
     const CandidateView& old_view = old_space.view(u);
-    if (old_slot < 0 || old_slot >= old_view.size()) {
+    if (*slot < 0 || *slot >= old_view.size()) {
       return Status::InvalidArgument(
           "base checkpoint assignment index out of candidate range");
     }
-    const int nl = space.SlotOf(u, old_view.candidates[old_slot]);
+    const int nl = space.SlotOf(u, old_view.candidates[*slot]);
     if (nl >= 0) {
-      *out = nl;
+      *slot = nl;
     } else {
-      *out = redirect_slot(u);
-      touched[u] = 1;
+      *slot = redirect_slot(u);
       ++report.redirected_assignments;
     }
     return Status::OK();
   };
+  MigratedChain chain;
+  chain.home_change_per_sweep = base.sampler.home_change_per_sweep;
+  chain.venue_counts = base.sampler.venue_counts;
+  chain.venue_counts_total = base.sampler.venue_counts_total;
   if (use_following) {
     chain.mu = base.sampler.mu;
-    chain.x_idx.resize(s_old);
-    chain.y_idx.resize(s_old);
-    for (graph::EdgeId s = 0; s < s_old; ++s) {
-      const graph::FollowingEdge& edge = old_graph.following(s);
-      MLP_RETURN_NOT_OK(
-          remap(edge.follower, base.sampler.x_idx[s], &chain.x_idx[s]));
-      MLP_RETURN_NOT_OK(
-          remap(edge.friend_user, base.sampler.y_idx[s], &chain.y_idx[s]));
-    }
-    for (graph::EdgeId s = s_old; s < s_new; ++s) {
-      const graph::FollowingEdge& edge = new_graph.following(s);
-      touched[edge.follower] = 1;
-      touched[edge.friend_user] = 1;
-    }
+    chain.x_idx = base.sampler.x_idx;
+    chain.y_idx = base.sampler.y_idx;
   }
   if (use_tweeting) {
     chain.nu = base.sampler.nu;
-    chain.z_idx.resize(k_old);
-    for (graph::EdgeId k = 0; k < k_old; ++k) {
-      MLP_RETURN_NOT_OK(remap(old_graph.tweeting(k).user,
-                              base.sampler.z_idx[k], &chain.z_idx[k]));
+    chain.z_idx = base.sampler.z_idx;
+  }
+  for (graph::UserId u : changed) {
+    if (use_following) {
+      for (graph::EdgeId s : new_graph.OutEdges(u)) {
+        if (s < s_old) MLP_RETURN_NOT_OK(remap(u, &chain.x_idx[s]));
+      }
+      for (graph::EdgeId s : new_graph.InEdges(u)) {
+        if (s < s_old) MLP_RETURN_NOT_OK(remap(u, &chain.y_idx[s]));
+      }
     }
-    for (graph::EdgeId k = k_old; k < k_new; ++k) {
-      touched[new_graph.tweeting(k).user] = 1;
+    if (use_tweeting) {
+      for (graph::EdgeId k : new_graph.TweetEdges(u)) {
+        if (k >= k_old) continue;
+        const int32_t old_slot = chain.z_idx[k];
+        MLP_RETURN_NOT_OK(remap(u, &chain.z_idx[k]));
+        const geo::CityId from = old_space.view(u).candidates[old_slot];
+        const geo::CityId to = space.view(u).candidates[chain.z_idx[k]];
+        if (chain.nu[k] == 0 && from != to) {
+          // A redirected location-based tweet moves its venue count.
+          const graph::VenueId v = new_graph.tweeting(k).venue;
+          const int64_t venues = space.layout().num_venues;
+          chain.venue_counts[static_cast<int64_t>(from) * venues + v] -= 1.0;
+          chain.venue_counts_total[from] -= 1.0;
+          chain.venue_counts[static_cast<int64_t>(to) * venues + v] += 1.0;
+          chain.venue_counts_total[to] += 1.0;
+        }
+      }
     }
   }
   for (uint8_t t : touched) report.touched_users += t;
@@ -662,6 +648,30 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     if (report_out != nullptr) *report_out = std::move(report);
     return base_result;
   }
+
+  // Counts: every untouched user's ϕ row is the base row (same slots,
+  // same assignments), moved to its merged offset in contiguous runs; the
+  // touched users' rows are rebuilt from the chain on adoption.
+  for (graph::UserId u = 0; u < merged_users; ++u) {
+    if (touched[u]) chain.recount.push_back(u);
+  }
+  const SuffStatsLayout& layout = space.layout();
+  chain.phi.assign(layout.phi_size(), 0.0);
+  auto carry_phi = [&](graph::UserId begin, graph::UserId end) {
+    if (begin >= end) return;
+    std::copy(base.sampler.phi.begin() + old_layout.phi_offset[begin],
+              base.sampler.phi.begin() + old_layout.phi_offset[end],
+              chain.phi.begin() + layout.phi_offset[begin]);
+  };
+  graph::UserId run_begin = 0;
+  for (graph::UserId u : chain.recount) {
+    if (u >= old_users) break;
+    carry_phi(run_begin, u);
+    run_begin = u + 1;
+  }
+  carry_phi(run_begin, old_users);
+  chain.phi_total = base.sampler.phi_total;
+  chain.phi_total.resize(merged_users, 0.0);
   stage.Next(setup_ns, "ingest_resample_setup");
 
   // Warm machinery over the merged world. (α, β) resume from the base
@@ -674,23 +684,6 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
                      config.distance_floor_miles);
   GibbsSampler sampler(&merged_input, &config, &space, &random_models,
                        &pow_table);
-  engine::ParallelGibbsEngine engine(&sampler, &merged_input, &config, &space);
-  stage.Next(migrate_ns, "ingest_migrate");
-
-  // Appended edges draw their seed assignments from a stream derived from
-  // (seed, delta shape) — a pure function of the inputs, so ingesting a
-  // loaded snapshot replays byte-for-byte the same chain as ingesting the
-  // in-memory checkpoint.
-  Pcg32 init_rng(
-      config.seed ^ (0x9e3779b97f4a7c15ULL *
-                     (static_cast<uint64_t>(s_new - s_old) + 1)),
-      0x94d049bb133111ebULL + 2 * (static_cast<uint64_t>(k_new - k_old) + 1));
-  MLP_RETURN_NOT_OK(sampler.AdoptMigratedChain(chain, &init_rng));
-  stage.Next(setup_ns, "ingest_resample_setup");
-
-  Pcg32 rng(config.seed, 0x5bd1e995u);
-  rng.RestoreState(base.master_rng);
-  MLP_RETURN_NOT_OK(engine.RestoreShardRngStates(base.shard_rngs));
   // Ownership for the resample pass: the cost-weighted partition over the
   // merged graph's ACTIVE candidate products, with the touched users
   // packed into the fewest shards their cost warrants
@@ -699,7 +692,8 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   // shards the resample never selects — the partition is a
   // parallelization artifact, so concentrating the hot set changes
   // nothing about the chain's validity, only how little of it reruns.
-  if (engine.num_threads() > 1) {
+  std::vector<engine::Shard> partition;
+  if (config.num_threads > 1) {
     std::vector<double> cost(merged_users, 0.0);
     if (use_following) {
       for (graph::EdgeId s = 0; s < s_new; ++s) {
@@ -721,23 +715,45 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
       total_cost += cost[u];
       if (touched[u]) touched_cost += cost[u];
     }
-    const int threads = engine.num_threads();
+    const int threads = config.num_threads;
     const int touched_shards =
         total_cost > 0.0
             ? std::clamp(static_cast<int>(std::ceil(
                              touched_cost / total_cost * threads)),
                          1, threads)
             : 1;
-    MLP_RETURN_NOT_OK(engine.SetPartition(engine::GraphSharder::PartitionGrouped(
-        new_graph, threads, touched_shards, cost, touched)));
+    partition = engine::GraphSharder::PartitionGrouped(
+        new_graph, threads, touched_shards, cost, touched);
   }
+  engine::ParallelGibbsEngine engine(&sampler, &merged_input, &config, &space,
+                                     std::move(partition));
+  stage.Next(migrate_ns, "ingest_migrate");
 
-  const std::vector<int> owner = engine.UserShards();
+  // Appended edges draw their seed assignments from a stream derived from
+  // (seed, delta shape) — a pure function of the inputs, so ingesting a
+  // loaded snapshot replays byte-for-byte the same chain as ingesting the
+  // in-memory checkpoint.
+  Pcg32 init_rng(
+      config.seed ^ (0x9e3779b97f4a7c15ULL *
+                     (static_cast<uint64_t>(s_new - s_old) + 1)),
+      0x94d049bb133111ebULL + 2 * (static_cast<uint64_t>(k_new - k_old) + 1));
+  MLP_RETURN_NOT_OK(sampler.AdoptMigratedChain(std::move(chain), &init_rng));
+  stage.Next(setup_ns, "ingest_resample_setup");
+
+  Pcg32 rng(config.seed, 0x5bd1e995u);
+  rng.RestoreState(base.master_rng);
+  MLP_RETURN_NOT_OK(engine.RestoreShardRngStates(base.shard_rngs));
   const int num_shards =
       engine.num_threads() <= 1 ? 1 : static_cast<int>(engine.shards().size());
   std::vector<uint8_t> shard_touched(num_shards, 0);
-  for (graph::UserId u = 0; u < merged_users; ++u) {
-    if (touched[u]) shard_touched[owner[u]] = 1;
+  if (num_shards == 1) {
+    shard_touched[0] = 1;
+  } else {
+    for (int k = 0; k < num_shards; ++k) {
+      for (graph::UserId u : engine.shards()[k].users) {
+        if (touched[u]) shard_touched[k] = 1;
+      }
+    }
   }
   std::vector<int> shard_set;
   for (int k = 0; k < num_shards; ++k) {
@@ -748,13 +764,17 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   MLP_RETURN_NOT_OK(engine.BeginShardResample(shard_set));
   stage.Next(registry.GetCounter(obs::kIngestResampleNs), "ingest_resample");
 
+  // Accumulators are fresh from the adoption. Only the pass's own rows
+  // move, so only they accumulate; the held rows are closed in one step
+  // below.
   for (int it = 0; it < opts.delta_burn_sweeps; ++it) {
     engine.ResampleShards(&rng);
   }
-  sampler.ResetAccumulators();
   for (int it = 0; it < opts.delta_sampling_sweeps; ++it) {
     engine.ResampleShards(&rng);
-    sampler.AccumulateSample();
+    sampler.AccumulateSample(engine.resample_users(),
+                             engine.resample_following(),
+                             engine.resample_tweeting());
   }
   // Result merge, through the teardown of the warm machinery.
   stage.Next(registry.GetCounter(obs::kIngestResultMergeNs),
@@ -762,7 +782,17 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
   report.user_resampled = engine.resample_user_mask();
   report.following_resampled = engine.resample_following_mask();
   report.tweeting_resampled = engine.resample_tweeting_mask();
-  engine.EndShardResample();
+
+  // Merge: resampled users/edges take the refreshed posterior; everything
+  // else keeps the base fit's rows verbatim (their counts never moved).
+  // Every new user and edge is touched, hence resampled.
+  MlpResult result = base_result;
+  result.profiles.resize(merged_users);
+  result.home.resize(merged_users);
+  result.following.resize(use_following ? s_new : 0);
+  result.tweeting.resize(use_tweeting ? k_new : 0);
+  sampler.BuildResultRows(engine.resample_users(), engine.resample_following(),
+                          engine.resample_tweeting(), &result);
 
   if (opts.checkpoint_out != nullptr) {
     FitCheckpoint* ck = opts.checkpoint_out;
@@ -770,30 +800,17 @@ Result<MlpResult> MlpModel::ApplyDelta(const ModelInput& base_input,
     ck->fingerprint = FitFingerprint(merged_input, config_, space);
     ck->complete = base.complete;
     ck->progress = base.progress;
-    sampler.SaveState(&ck->sampler);
+    // The held rows' accumulators, in closed form: they equal what
+    // accumulating every row in every sampling sweep would have summed.
+    sampler.CloseHeldAccumulators(report.user_resampled,
+                                  report.following_resampled,
+                                  report.tweeting_resampled);
+    sampler.MoveStateTo(&ck->sampler);
     ck->master_rng = rng.SaveState();
     ck->shard_rngs = engine.ShardRngStates();
     ck->activation = space.SaveActivation();
   }
-
-  // Merge: resampled users/edges take the refreshed posterior; everything
-  // else keeps the base fit's rows verbatim (their counts never moved).
-  MlpResult result = sampler.BuildResult();
-  for (graph::UserId u = 0; u < old_users; ++u) {
-    if (report.user_resampled[u]) continue;
-    result.profiles[u] = base_result.profiles[u];
-    result.home[u] = base_result.home[u];
-  }
-  for (graph::EdgeId s = 0; use_following && s < s_old; ++s) {
-    if (!report.following_resampled[s]) {
-      result.following[s] = base_result.following[s];
-    }
-  }
-  for (graph::EdgeId k = 0; use_tweeting && k < k_old; ++k) {
-    if (!report.tweeting_resampled[k]) {
-      result.tweeting[k] = base_result.tweeting[k];
-    }
-  }
+  engine.EndShardResample();
   report.phi_offset = space.layout().phi_offset;
   report.candidates = space.active_candidates();
   if (report_out != nullptr) *report_out = std::move(report);

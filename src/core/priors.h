@@ -59,6 +59,20 @@ struct UserPrior {
 std::vector<UserPrior> BuildPriors(const ModelInput& input,
                                    const MlpConfig& config);
 
+/// The fallback candidates of a user with no observed candidate: the
+/// `config.fallback_top_cities` most populous cities.
+std::vector<int> FallbackCities(const ModelInput& input,
+                                const MlpConfig& config);
+
+/// BuildPriors' row for user `u` alone. A row reads only u's own label,
+/// its neighbors' labels and its tweeted venues, so a delta ingest
+/// re-derives just the rows the delta reaches (CandidateSpace::Extend).
+/// `fallback` is FallbackCities(input, config); `scratch` is reusable
+/// working storage.
+UserPrior BuildUserPrior(const ModelInput& input, const MlpConfig& config,
+                         const std::vector<int>& fallback, graph::UserId u,
+                         std::vector<geo::CityId>* scratch);
+
 }  // namespace core
 }  // namespace mlp
 

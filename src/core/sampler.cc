@@ -480,12 +480,30 @@ void GibbsSampler::RecordSweepTrace() {
   for (size_t u = 0; u < homes.size(); ++u) {
     if (homes[u] != last_homes_[u]) ++changed;
   }
-  const double flip_rate =
-      homes.empty() ? 0.0
-                    : static_cast<double>(changed) /
-                          static_cast<double>(homes.size());
-  home_change_per_sweep_.push_back(flip_rate);
   last_homes_ = std::move(homes);
+  PushSweepTrace(changed);
+}
+
+void GibbsSampler::RecordSweepTrace(const std::vector<graph::UserId>& users) {
+  static obs::Counter* const trace_ns =
+      obs::Registry::Global().GetCounter(obs::kFitTraceRecordNs);
+  obs::ScopedSpan span(trace_ns, "sweep_trace_record");
+  int changed = 0;
+  for (graph::UserId u : users) {
+    const geo::CityId home = CurrentHome(u);
+    if (home != last_homes_[u]) ++changed;
+    last_homes_[u] = home;
+  }
+  PushSweepTrace(changed);
+}
+
+void GibbsSampler::PushSweepTrace(int changed) {
+  const size_t num_users = last_homes_.size();
+  const double flip_rate =
+      num_users == 0 ? 0.0
+                     : static_cast<double>(changed) /
+                           static_cast<double>(num_users);
+  home_change_per_sweep_.push_back(flip_rate);
   // Fit-health gauges (ISSUE 9): last-sweep home flip rate (ppm, so the
   // integer gauge keeps 6 digits of precision) and live candidate-space
   // occupancy — visible on /metricsz while a fit or ingest-refit runs.
@@ -500,10 +518,8 @@ void GibbsSampler::RecordSweepTrace() {
 }
 
 int64_t GibbsSampler::AccountedBytes() const {
-  auto ragged_bytes = [](const std::vector<std::vector<float>>& rows) {
-    int64_t total = VectorBytes(rows);
-    for (const auto& row : rows) total += VectorBytes(row);
-    return total;
+  auto ragged_bytes = [](const AccumulatorRows& rows) {
+    return VectorBytes(rows.offset) + VectorBytes(rows.values);
   };
   return VectorBytes(mu_) + VectorBytes(x_idx_) + VectorBytes(y_idx_) +
          VectorBytes(nu_) + VectorBytes(z_idx_) + stats_.AccountedBytes() +
@@ -516,67 +532,145 @@ int64_t GibbsSampler::AccountedBytes() const {
 void GibbsSampler::ResetAccumulators() {
   accumulated_samples_ = 0;
   acc_phi_.assign(space_->layout().phi_size(), 0.0);
-  acc_x_.assign(x_idx_.size(), {});
-  acc_y_.assign(y_idx_.size(), {});
+  acc_x_.Clear(x_idx_.size());
+  acc_y_.Clear(y_idx_.size());
   acc_mu_.assign(mu_.size(), 0.0);
-  acc_z_.assign(z_idx_.size(), {});
+  acc_z_.Clear(z_idx_.size());
   acc_nu_.assign(nu_.size(), 0.0);
   acc_edge_distance_.assign(kEdgeDistanceBuckets, 0.0);
 }
 
+void GibbsSampler::SizeAccumulatorRows() {
+  // Rows are sized all at once on the first sample after a reset, so they
+  // are either all empty or all sized (RestoreState holds states to that).
+  auto size_rows = [](AccumulatorRows* rows, size_t count, auto&& row_size) {
+    if (count == 0 || rows->offset.back() > 0) return;
+    for (size_t e = 0; e < count; ++e) {
+      rows->offset[e + 1] = rows->offset[e] + row_size(e);
+    }
+    rows->values.assign(rows->offset.back(), 0.0f);
+  };
+  const graph::SocialGraph& graph = *input_->graph;
+  size_rows(&acc_x_, mu_.size(), [&](size_t s) {
+    return space_->view(graph.following(static_cast<graph::EdgeId>(s)).follower)
+        .size();
+  });
+  size_rows(&acc_y_, mu_.size(), [&](size_t s) {
+    return space_
+        ->view(graph.following(static_cast<graph::EdgeId>(s)).friend_user)
+        .size();
+  });
+  size_rows(&acc_z_, nu_.size(), [&](size_t k) {
+    return space_->view(graph.tweeting(static_cast<graph::EdgeId>(k)).user)
+        .size();
+  });
+}
+
+void GibbsSampler::AccumulateEdgeDistance(graph::EdgeId s, double times) {
+  if (mu_[s] != 0 || !edge_both_labeled_[s]) return;
+  const graph::FollowingEdge& edge = input_->graph->following(s);
+  geo::CityId cx = space_->view(edge.follower).candidates[x_idx_[s]];
+  geo::CityId cy = space_->view(edge.friend_user).candidates[y_idx_[s]];
+  double d = input_->distances->miles(cx, cy);
+  int bucket = static_cast<int>(d);
+  if (bucket >= 0 && bucket < kEdgeDistanceBuckets) {
+    acc_edge_distance_[bucket] += times;
+  }
+}
+
+void GibbsSampler::AccumulateFollowing(graph::EdgeId s) {
+  acc_x_.row(s)[x_idx_[s]] += 1.0f;
+  acc_y_.row(s)[y_idx_[s]] += 1.0f;
+  acc_mu_[s] += mu_[s];
+  AccumulateEdgeDistance(s, 1.0);
+}
+
+void GibbsSampler::AccumulateTweeting(graph::EdgeId k) {
+  acc_z_.row(k)[z_idx_[k]] += 1.0f;
+  acc_nu_[k] += nu_[k];
+}
+
 void GibbsSampler::AccumulateSample() {
   ++accumulated_samples_;
+  SizeAccumulatorRows();
   // Both buffers share the arena layout: one flat fused pass.
   const double* phi = stats_.phi.data();
   double* acc = acc_phi_.data();
   const int64_t n = space_->layout().phi_size();
   for (int64_t idx = 0; idx < n; ++idx) acc[idx] += phi[idx];
 
-  const graph::SocialGraph& graph = *input_->graph;
   for (size_t s = 0; s < mu_.size(); ++s) {
-    const graph::FollowingEdge& edge =
-        graph.following(static_cast<graph::EdgeId>(s));
-    if (acc_x_[s].empty()) {
-      acc_x_[s].assign(space_->view(edge.follower).size(), 0.0f);
-      acc_y_[s].assign(space_->view(edge.friend_user).size(), 0.0f);
-    }
-    acc_x_[s][x_idx_[s]] += 1.0f;
-    acc_y_[s][y_idx_[s]] += 1.0f;
-    acc_mu_[s] += mu_[s];
-    if (mu_[s] == 0 && edge_both_labeled_[s]) {
-      geo::CityId cx = space_->view(edge.follower).candidates[x_idx_[s]];
-      geo::CityId cy = space_->view(edge.friend_user).candidates[y_idx_[s]];
-      double d = input_->distances->miles(cx, cy);
-      int bucket = static_cast<int>(d);
-      if (bucket >= 0 && bucket < kEdgeDistanceBuckets) {
-        acc_edge_distance_[bucket] += 1.0;
-      }
-    }
+    AccumulateFollowing(static_cast<graph::EdgeId>(s));
   }
   for (size_t k = 0; k < nu_.size(); ++k) {
-    const graph::TweetingEdge& edge =
-        graph.tweeting(static_cast<graph::EdgeId>(k));
-    if (acc_z_[k].empty()) {
-      acc_z_[k].assign(space_->view(edge.user).size(), 0.0f);
-    }
-    acc_z_[k][z_idx_[k]] += 1.0f;
-    acc_nu_[k] += nu_[k];
+    AccumulateTweeting(static_cast<graph::EdgeId>(k));
   }
 }
 
-std::vector<geo::CityId> GibbsSampler::CurrentHomes() const {
-  std::vector<geo::CityId> homes(input_->num_users(), geo::kInvalidCity);
-  for (graph::UserId u = 0; u < input_->num_users(); ++u) {
-    const CandidateView& prior = space_->view(u);
-    const double* phi_u = stats_.phi_row(u);
-    double best = -1.0;
-    for (int l = 0; l < prior.size(); ++l) {
-      double w = phi_u[l] + prior.gamma[l];
-      if (w > best) {
-        best = w;
-        homes[u] = prior.candidates[l];
-      }
+void GibbsSampler::AccumulateSample(const std::vector<graph::UserId>& users,
+                                    const std::vector<graph::EdgeId>& following,
+                                    const std::vector<graph::EdgeId>& tweeting) {
+  ++accumulated_samples_;
+  SizeAccumulatorRows();
+  const SuffStatsLayout& layout = space_->layout();
+  for (graph::UserId u : users) {
+    for (int64_t idx = layout.phi_offset[u]; idx < layout.phi_offset[u + 1];
+         ++idx) {
+      acc_phi_[idx] += stats_.phi[idx];
     }
+  }
+  for (graph::EdgeId s : following) AccumulateFollowing(s);
+  for (graph::EdgeId k : tweeting) AccumulateTweeting(k);
+}
+
+void GibbsSampler::CloseHeldAccumulators(
+    const std::vector<uint8_t>& user_mask,
+    const std::vector<uint8_t>& following_mask,
+    const std::vector<uint8_t>& tweeting_mask) {
+  if (accumulated_samples_ == 0) return;
+  const double times = static_cast<double>(accumulated_samples_);
+  const float times_f = static_cast<float>(accumulated_samples_);
+  const SuffStatsLayout& layout = space_->layout();
+  for (graph::UserId u = 0; u < layout.num_users; ++u) {
+    if (user_mask[u]) continue;
+    for (int64_t idx = layout.phi_offset[u]; idx < layout.phi_offset[u + 1];
+         ++idx) {
+      acc_phi_[idx] = times * stats_.phi[idx];
+    }
+  }
+  for (size_t s = 0; s < mu_.size(); ++s) {
+    if (following_mask[s]) continue;
+    acc_x_.row(s)[x_idx_[s]] = times_f;
+    acc_y_.row(s)[y_idx_[s]] = times_f;
+    acc_mu_[s] = times * mu_[s];
+    AccumulateEdgeDistance(static_cast<graph::EdgeId>(s), times);
+  }
+  for (size_t k = 0; k < nu_.size(); ++k) {
+    if (tweeting_mask[k]) continue;
+    acc_z_.row(k)[z_idx_[k]] = times_f;
+    acc_nu_[k] = times * nu_[k];
+  }
+}
+
+geo::CityId GibbsSampler::CurrentHome(graph::UserId u) const {
+  const CandidateView& prior = space_->view(u);
+  const double* phi_u = stats_.phi_row(u);
+  geo::CityId home = geo::kInvalidCity;
+  double best = -1.0;
+  for (int l = 0; l < prior.size(); ++l) {
+    double w = phi_u[l] + prior.gamma[l];
+    if (w > best) {
+      best = w;
+      home = prior.candidates[l];
+    }
+  }
+  return home;
+}
+
+std::vector<geo::CityId> GibbsSampler::CurrentHomes() const {
+  std::vector<geo::CityId> homes(input_->num_users());
+  for (graph::UserId u = 0; u < input_->num_users(); ++u) {
+    homes[u] = CurrentHome(u);
   }
   return homes;
 }
@@ -593,86 +687,105 @@ std::vector<double> GibbsSampler::AssignmentDistanceHistogram(
   return hist;
 }
 
-MlpResult GibbsSampler::BuildResult() const {
-  MlpResult result;
-  const int num_users = input_->num_users();
+LocationProfile GibbsSampler::UserProfile(graph::UserId u) const {
   const double samples =
       accumulated_samples_ > 0 ? static_cast<double>(accumulated_samples_)
                                : 1.0;
+  const CandidateView& prior = space_->view(u);
+  const double* phi_u = stats_.phi_row(u);
+  const double* acc_u = acc_phi_.data() + space_->layout().phi_offset[u];
+  std::vector<std::pair<geo::CityId, double>> entries;
+  entries.reserve(prior.size());
+  double denom = 0.0;
+  for (int l = 0; l < prior.size(); ++l) {
+    double phi_avg = accumulated_samples_ > 0 ? acc_u[l] / samples : phi_u[l];
+    denom += phi_avg + prior.gamma[l];
+  }
+  for (int l = 0; l < prior.size(); ++l) {
+    double phi_avg = accumulated_samples_ > 0 ? acc_u[l] / samples : phi_u[l];
+    // Eq. 10: p(l|θ_i) = (ϕ_{i,l} + γ_{i,l}) / (ϕ_i + Σ_l γ_{i,l}).
+    entries.emplace_back(prior.candidates[l],
+                         (phi_avg + prior.gamma[l]) / denom);
+  }
+  return LocationProfile(std::move(entries));
+}
 
+FollowingExplanation GibbsSampler::ExplainFollowing(graph::EdgeId s) const {
+  const graph::FollowingEdge& edge = input_->graph->following(s);
+  const CandidateView& prior_i = space_->view(edge.follower);
+  const CandidateView& prior_j = space_->view(edge.friend_user);
+  FollowingExplanation ex;
+  if (accumulated_samples_ > 0 && acc_x_.row_size(s) > 0) {
+    const float* row_x = acc_x_.row(s);
+    const float* row_y = acc_y_.row(s);
+    int bx = static_cast<int>(
+        std::max_element(row_x, row_x + acc_x_.row_size(s)) - row_x);
+    int by = static_cast<int>(
+        std::max_element(row_y, row_y + acc_y_.row_size(s)) - row_y);
+    ex.x = prior_i.candidates[bx];
+    ex.y = prior_j.candidates[by];
+    ex.noise_prob = acc_mu_[s] / static_cast<double>(accumulated_samples_);
+  } else {
+    ex.x = prior_i.candidates[x_idx_[s]];
+    ex.y = prior_j.candidates[y_idx_[s]];
+    ex.noise_prob = mu_[s];
+  }
+  return ex;
+}
+
+TweetExplanation GibbsSampler::ExplainTweeting(graph::EdgeId k) const {
+  const CandidateView& prior_i = space_->view(input_->graph->tweeting(k).user);
+  TweetExplanation ex;
+  if (accumulated_samples_ > 0 && acc_z_.row_size(k) > 0) {
+    const float* row_z = acc_z_.row(k);
+    int bz = static_cast<int>(
+        std::max_element(row_z, row_z + acc_z_.row_size(k)) - row_z);
+    ex.z = prior_i.candidates[bz];
+    ex.noise_prob = acc_nu_[k] / static_cast<double>(accumulated_samples_);
+  } else {
+    ex.z = prior_i.candidates[z_idx_[k]];
+    ex.noise_prob = nu_[k];
+  }
+  return ex;
+}
+
+MlpResult GibbsSampler::BuildResult() const {
+  MlpResult result;
+  const int num_users = input_->num_users();
   result.profiles.reserve(num_users);
   result.home.resize(num_users);
   for (graph::UserId u = 0; u < num_users; ++u) {
-    const CandidateView& prior = space_->view(u);
-    const double* phi_u = stats_.phi_row(u);
-    const double* acc_u = acc_phi_.data() + space_->layout().phi_offset[u];
-    std::vector<std::pair<geo::CityId, double>> entries;
-    entries.reserve(prior.size());
-    double denom = 0.0;
-    for (int l = 0; l < prior.size(); ++l) {
-      double phi_avg =
-          accumulated_samples_ > 0 ? acc_u[l] / samples : phi_u[l];
-      denom += phi_avg + prior.gamma[l];
-    }
-    for (int l = 0; l < prior.size(); ++l) {
-      double phi_avg =
-          accumulated_samples_ > 0 ? acc_u[l] / samples : phi_u[l];
-      // Eq. 10: p(l|θ_i) = (ϕ_{i,l} + γ_{i,l}) / (ϕ_i + Σ_l γ_{i,l}).
-      entries.emplace_back(prior.candidates[l],
-                           (phi_avg + prior.gamma[l]) / denom);
-    }
-    LocationProfile profile(std::move(entries));
+    LocationProfile profile = UserProfile(u);
     result.home[u] = profile.Home();
     result.profiles.push_back(std::move(profile));
   }
-
-  const graph::SocialGraph& graph = *input_->graph;
   result.following.resize(mu_.size());
   for (size_t s = 0; s < mu_.size(); ++s) {
-    const graph::FollowingEdge& edge =
-        graph.following(static_cast<graph::EdgeId>(s));
-    FollowingExplanation& ex = result.following[s];
-    const CandidateView& prior_i = space_->view(edge.follower);
-    const CandidateView& prior_j = space_->view(edge.friend_user);
-    if (accumulated_samples_ > 0 && !acc_x_[s].empty()) {
-      int bx = static_cast<int>(std::max_element(acc_x_[s].begin(),
-                                                 acc_x_[s].end()) -
-                                acc_x_[s].begin());
-      int by = static_cast<int>(std::max_element(acc_y_[s].begin(),
-                                                 acc_y_[s].end()) -
-                                acc_y_[s].begin());
-      ex.x = prior_i.candidates[bx];
-      ex.y = prior_j.candidates[by];
-      ex.noise_prob = acc_mu_[s] / samples;
-    } else {
-      ex.x = prior_i.candidates[x_idx_[s]];
-      ex.y = prior_j.candidates[y_idx_[s]];
-      ex.noise_prob = mu_[s];
-    }
+    result.following[s] = ExplainFollowing(static_cast<graph::EdgeId>(s));
   }
-
   result.tweeting.resize(nu_.size());
   for (size_t k = 0; k < nu_.size(); ++k) {
-    const graph::TweetingEdge& edge =
-        graph.tweeting(static_cast<graph::EdgeId>(k));
-    TweetExplanation& ex = result.tweeting[k];
-    const CandidateView& prior_i = space_->view(edge.user);
-    if (accumulated_samples_ > 0 && !acc_z_[k].empty()) {
-      int bz = static_cast<int>(std::max_element(acc_z_[k].begin(),
-                                                 acc_z_[k].end()) -
-                                acc_z_[k].begin());
-      ex.z = prior_i.candidates[bz];
-      ex.noise_prob = acc_nu_[k] / samples;
-    } else {
-      ex.z = prior_i.candidates[z_idx_[k]];
-      ex.noise_prob = nu_[k];
-    }
+    result.tweeting[k] = ExplainTweeting(static_cast<graph::EdgeId>(k));
   }
-
   result.alpha = pow_table_->alpha();
   result.beta = config_->beta;
   result.home_change_per_sweep = home_change_per_sweep_;
   return result;
+}
+
+void GibbsSampler::BuildResultRows(const std::vector<graph::UserId>& users,
+                                   const std::vector<graph::EdgeId>& following,
+                                   const std::vector<graph::EdgeId>& tweeting,
+                                   MlpResult* result) const {
+  for (graph::UserId u : users) {
+    result->profiles[u] = UserProfile(u);
+    result->home[u] = result->profiles[u].Home();
+  }
+  for (graph::EdgeId s : following) result->following[s] = ExplainFollowing(s);
+  for (graph::EdgeId k : tweeting) result->tweeting[k] = ExplainTweeting(k);
+  result->alpha = pow_table_->alpha();
+  result->beta = config_->beta;
+  result->home_change_per_sweep = home_change_per_sweep_;
 }
 
 void GibbsSampler::ApplyCompaction(const CompactionPlan& plan) {
@@ -767,6 +880,28 @@ void GibbsSampler::SaveState(SamplerState* state) const {
   state->home_change_per_sweep = home_change_per_sweep_;
 }
 
+void GibbsSampler::MoveStateTo(SamplerState* state) {
+  state->mu = std::move(mu_);
+  state->x_idx = std::move(x_idx_);
+  state->y_idx = std::move(y_idx_);
+  state->nu = std::move(nu_);
+  state->z_idx = std::move(z_idx_);
+  state->phi = std::move(stats_.phi);
+  state->phi_total = std::move(stats_.phi_total);
+  state->venue_counts = std::move(stats_.venue_counts);
+  state->venue_counts_total = std::move(stats_.venue_counts_total);
+  state->accumulated_samples = accumulated_samples_;
+  state->acc_phi = std::move(acc_phi_);
+  state->acc_x = std::move(acc_x_);
+  state->acc_y = std::move(acc_y_);
+  state->acc_mu = std::move(acc_mu_);
+  state->acc_z = std::move(acc_z_);
+  state->acc_nu = std::move(acc_nu_);
+  state->acc_edge_distance = std::move(acc_edge_distance_);
+  state->last_homes = std::move(last_homes_);
+  state->home_change_per_sweep = std::move(home_change_per_sweep_);
+}
+
 Status GibbsSampler::RestoreState(const SamplerState& state) {
   const graph::SocialGraph& graph = *input_->graph;
   const size_t s_total = UseFollowing() ? graph.num_following() : 0;
@@ -796,28 +931,48 @@ Status GibbsSampler::RestoreState(const SamplerState& state) {
     return Status::InvalidArgument("sampler state histogram malformed");
   }
   if (state.acc_phi.size() != state.phi.size() ||
-      state.acc_x.size() != s_total || state.acc_y.size() != s_total ||
-      state.acc_mu.size() != s_total || state.acc_z.size() != k_total ||
+      state.acc_x.rows() != s_total || state.acc_y.rows() != s_total ||
+      state.acc_mu.size() != s_total || state.acc_z.rows() != k_total ||
       state.acc_nu.size() != k_total ||
       state.last_homes.size() != static_cast<size_t>(layout.num_users)) {
+    return Status::InvalidArgument("sampler state accumulators malformed");
+  }
+  // Accumulator rows are sized all at once (SizeAccumulatorRows): either
+  // every row is empty, or each spans exactly its user's active row.
+  auto rows_fit = [](const AccumulatorRows& rows, size_t e, int n) {
+    return rows.offset.back() == 0 || rows.row_size(e) == n;
+  };
+  auto rows_well_formed = [](const AccumulatorRows& rows) {
+    if (rows.offset.empty() || rows.offset.front() != 0) return false;
+    return rows.offset.back() == static_cast<int64_t>(rows.values.size());
+  };
+  if ((s_total > 0 &&
+       (!rows_well_formed(state.acc_x) || !rows_well_formed(state.acc_y))) ||
+      (k_total > 0 && !rows_well_formed(state.acc_z))) {
     return Status::InvalidArgument("sampler state accumulators malformed");
   }
   for (size_t s = 0; s < s_total; ++s) {
     const graph::FollowingEdge& edge =
         graph.following(static_cast<graph::EdgeId>(s));
-    if (state.x_idx[s] < 0 ||
-        state.x_idx[s] >= space_->view(edge.follower).size() ||
-        state.y_idx[s] < 0 ||
-        state.y_idx[s] >= space_->view(edge.friend_user).size()) {
+    const int nx = space_->view(edge.follower).size();
+    const int ny = space_->view(edge.friend_user).size();
+    if (state.x_idx[s] < 0 || state.x_idx[s] >= nx || state.y_idx[s] < 0 ||
+        state.y_idx[s] >= ny) {
       return Status::InvalidArgument("assignment index out of candidate range");
+    }
+    if (!rows_fit(state.acc_x, s, nx) || !rows_fit(state.acc_y, s, ny)) {
+      return Status::InvalidArgument("sampler state accumulators malformed");
     }
   }
   for (size_t k = 0; k < k_total; ++k) {
     const graph::TweetingEdge& edge =
         graph.tweeting(static_cast<graph::EdgeId>(k));
-    if (state.z_idx[k] < 0 ||
-        state.z_idx[k] >= space_->view(edge.user).size()) {
+    const int nz = space_->view(edge.user).size();
+    if (state.z_idx[k] < 0 || state.z_idx[k] >= nz) {
       return Status::InvalidArgument("assignment index out of candidate range");
+    }
+    if (!rows_fit(state.acc_z, k, nz)) {
+      return Status::InvalidArgument("sampler state accumulators malformed");
     }
   }
 
@@ -844,18 +999,32 @@ Status GibbsSampler::RestoreState(const SamplerState& state) {
   return Status::OK();
 }
 
-Status GibbsSampler::AdoptMigratedChain(const MigratedChain& chain,
-                                        Pcg32* rng) {
+Status GibbsSampler::AdoptMigratedChain(MigratedChain chain, Pcg32* rng) {
   const graph::SocialGraph& graph = *input_->graph;
   const size_t s_total = UseFollowing() ? graph.num_following() : 0;
   const size_t k_total = UseTweeting() ? graph.num_tweeting() : 0;
   const size_t s_old = chain.mu.size();
   const size_t k_old = chain.nu.size();
+  const SuffStatsLayout& layout = space_->layout();
 
   if (chain.x_idx.size() != s_old || chain.y_idx.size() != s_old ||
       chain.z_idx.size() != k_old || s_old > s_total || k_old > k_total) {
     return Status::InvalidArgument(
         "migrated chain does not cover a prefix of the merged graph");
+  }
+  if (static_cast<int64_t>(chain.phi.size()) != layout.phi_size() ||
+      chain.phi_total.size() != static_cast<size_t>(layout.num_users) ||
+      static_cast<int64_t>(chain.venue_counts.size()) != layout.venue_size() ||
+      chain.venue_counts_total.size() !=
+          static_cast<size_t>(layout.num_venues > 0 ? layout.num_locations
+                                                    : 0)) {
+    return Status::InvalidArgument(
+        "migrated counts do not match the merged active layout");
+  }
+  for (graph::UserId u : chain.recount) {
+    if (u < 0 || u >= layout.num_users) {
+      return Status::InvalidArgument("migrated recount user out of range");
+    }
   }
   // Every carried assignment must be a valid slot of the merged space's
   // active row — the migration remapped (or redirected) them already, so a
@@ -881,7 +1050,11 @@ Status GibbsSampler::AdoptMigratedChain(const MigratedChain& chain,
     }
   }
 
-  PrepareBuffers();  // zeroes the arena onto the (merged) active layout
+  PrepareBuffers();
+  stats_.phi = std::move(chain.phi);
+  stats_.phi_total = std::move(chain.phi_total);
+  stats_.venue_counts = std::move(chain.venue_counts);
+  stats_.venue_counts_total = std::move(chain.venue_counts_total);
 
   auto draw_from_prior = [&](graph::UserId u) -> int {
     const CandidateView& view = space_->view(u);
@@ -889,9 +1062,9 @@ Status GibbsSampler::AdoptMigratedChain(const MigratedChain& chain,
   };
 
   if (UseFollowing()) {
-    mu_ = chain.mu;
-    x_idx_ = chain.x_idx;
-    y_idx_ = chain.y_idx;
+    mu_ = std::move(chain.mu);
+    x_idx_ = std::move(chain.x_idx);
+    y_idx_ = std::move(chain.y_idx);
     mu_.resize(s_total, 0);
     x_idx_.resize(s_total, 0);
     y_idx_.resize(s_total, 0);
@@ -904,44 +1077,54 @@ Status GibbsSampler::AdoptMigratedChain(const MigratedChain& chain,
       x_idx_[s] = draw_from_prior(edge.follower);
       y_idx_[s] = draw_from_prior(edge.friend_user);
     }
-    // Rebuild ϕ from the full chain. Counts are integer-valued doubles, so
-    // users whose edges and assignments the delta left alone get rows bit-
-    // identical to the base fit's arena.
-    for (size_t s = 0; s < s_total; ++s) {
-      if (mu_[s] != 0) continue;
-      const graph::FollowingEdge& edge =
-          graph.following(static_cast<graph::EdgeId>(s));
-      stats_.phi_row(edge.follower)[x_idx_[s]] += 1.0;
-      stats_.phi_total[edge.follower] += 1.0;
-      stats_.phi_row(edge.friend_user)[y_idx_[s]] += 1.0;
-      stats_.phi_total[edge.friend_user] += 1.0;
-    }
   }
   if (UseTweeting()) {
-    nu_ = chain.nu;
-    z_idx_ = chain.z_idx;
+    nu_ = std::move(chain.nu);
+    z_idx_ = std::move(chain.z_idx);
     nu_.resize(k_total, 0);
     z_idx_.resize(k_total, 0);
     for (size_t k = k_old; k < k_total; ++k) {
       const graph::TweetingEdge& edge =
           graph.tweeting(static_cast<graph::EdgeId>(k));
       z_idx_[k] = draw_from_prior(edge.user);
-    }
-    for (size_t k = 0; k < k_total; ++k) {
-      if (nu_[k] != 0) continue;
-      const graph::TweetingEdge& edge =
-          graph.tweeting(static_cast<graph::EdgeId>(k));
-      geo::CityId z = space_->view(edge.user).candidates[z_idx_[k]];
-      stats_.phi_row(edge.user)[z_idx_[k]] += 1.0;
-      stats_.phi_total[edge.user] += 1.0;
+      const geo::CityId z = space_->view(edge.user).candidates[z_idx_[k]];
       stats_.venue_row(z)[edge.venue] += 1.0;
       stats_.venue_counts_total[z] += 1.0;
     }
   }
+  // Rebuild the ϕ rows the delta reached from each user's own
+  // relationships: every edge of a user lands in exactly one of its
+  // out/in/tweet lists, so each row gets the same integer counts a
+  // rebuild from the whole chain would give it.
+  for (graph::UserId u : chain.recount) {
+    double* phi_u = stats_.phi_row(u);
+    std::fill(phi_u, phi_u + layout.candidate_count(u), 0.0);
+    double total = 0.0;
+    if (UseFollowing()) {
+      for (graph::EdgeId s : graph.OutEdges(u)) {
+        if (mu_[s] != 0) continue;
+        phi_u[x_idx_[s]] += 1.0;
+        total += 1.0;
+      }
+      for (graph::EdgeId s : graph.InEdges(u)) {
+        if (mu_[s] != 0) continue;
+        phi_u[y_idx_[s]] += 1.0;
+        total += 1.0;
+      }
+    }
+    if (UseTweeting()) {
+      for (graph::EdgeId k : graph.TweetEdges(u)) {
+        if (nu_[k] != 0) continue;
+        phi_u[z_idx_[k]] += 1.0;
+        total += 1.0;
+      }
+    }
+    stats_.phi_total[u] = total;
+  }
 
   ResetAccumulators();
   last_homes_ = CurrentHomes();
-  home_change_per_sweep_ = chain.home_change_per_sweep;
+  home_change_per_sweep_ = std::move(chain.home_change_per_sweep);
   return Status::OK();
 }
 

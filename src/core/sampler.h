@@ -70,6 +70,32 @@ struct GibbsScratch {
   int64_t mh_accepted = 0;
 };
 
+/// Post-burn-in accumulator rows of one relationship kind, flat: row e —
+/// one slot per active candidate of the edge's user — is
+/// values[offset[e], offset[e + 1]). A zero-length row has not been
+/// accumulated yet. One allocation per kind instead of one per edge; the
+/// snapshot stores it row by row (io/model_snapshot.cc), as it stored the
+/// per-edge vectors this replaces.
+struct AccumulatorRows {
+  std::vector<int64_t> offset;  // rows() + 1 entries
+  std::vector<float> values;
+
+  size_t rows() const { return offset.empty() ? 0 : offset.size() - 1; }
+  int row_size(size_t e) const {
+    return static_cast<int>(offset[e + 1] - offset[e]);
+  }
+  float* row(size_t e) { return values.data() + offset[e]; }
+  const float* row(size_t e) const { return values.data() + offset[e]; }
+  /// `rows` zero-length rows, with the values freed.
+  void Clear(size_t rows) {
+    offset.assign(rows + 1, 0);
+    values = std::vector<float>();
+  }
+  bool operator==(const AccumulatorRows& other) const {
+    return offset == other.offset && values == other.values;
+  }
+};
+
 /// The sampler's complete restorable state: chain assignments, arena
 /// values, post-burn-in accumulators and the convergence trace. Everything
 /// here plus (input, config, candidate space incl. its activation state)
@@ -92,10 +118,10 @@ struct SamplerState {
   // Post-burn-in accumulators.
   int32_t accumulated_samples = 0;
   std::vector<double> acc_phi;  // flat, layout order
-  std::vector<std::vector<float>> acc_x;
-  std::vector<std::vector<float>> acc_y;
+  AccumulatorRows acc_x;
+  AccumulatorRows acc_y;
   std::vector<double> acc_mu;
-  std::vector<std::vector<float>> acc_z;
+  AccumulatorRows acc_z;
   std::vector<double> acc_nu;
   std::vector<double> acc_edge_distance;
   // Convergence trace.
@@ -106,7 +132,8 @@ struct SamplerState {
 /// Chain state of a BASE fit remapped onto a merged (delta-ingested)
 /// candidate space: per-edge vectors sized to the OLD graph's edge counts
 /// (the merged graph's edge prefix), with every assignment index already a
-/// local slot of the merged space's ACTIVE row for that user. Consumed by
+/// local slot of the merged space's ACTIVE row for that user, plus the base
+/// counts carried onto the merged layout. Consumed by
 /// GibbsSampler::AdoptMigratedChain during streaming ingest (src/stream/).
 struct MigratedChain {
   std::vector<uint8_t> mu;
@@ -114,6 +141,20 @@ struct MigratedChain {
   std::vector<int32_t> y_idx;
   std::vector<uint8_t> nu;
   std::vector<int32_t> z_idx;
+  /// ϕ over the merged active layout and ϕ totals per merged user: exact
+  /// for every user outside `recount` (its row, slots and assignments are
+  /// the base fit's); the rows of `recount` users are rebuilt from the
+  /// chain. Venue counts over the carried edges (the base counts with
+  /// every redirected assignment moved to its new city); appended edges
+  /// add theirs on adoption.
+  std::vector<double> phi;
+  std::vector<double> phi_total;
+  std::vector<double> venue_counts;
+  std::vector<double> venue_counts_total;
+  /// Users whose ϕ row the chain must rebuild (ascending): every user the
+  /// delta touched — new users, endpoints of appended edges, and users
+  /// whose candidate row or assignments moved.
+  std::vector<graph::UserId> recount;
   /// Convergence trace carried over from the base fit, so an ingested
   /// snapshot keeps the full Fig-5 history.
   std::vector<double> home_change_per_sweep;
@@ -157,6 +198,25 @@ class GibbsSampler {
   /// Adds the current state into the θ/explanation/EM accumulators.
   void AccumulateSample();
 
+  /// Same, over the ϕ rows of `users` and the rows of the `following` and
+  /// `tweeting` relationships only — a delta ingest's restricted sampling
+  /// sweeps, where nothing else moves. The other rows stay as they were;
+  /// CloseHeldAccumulators fills them in closed form once the sweeps end.
+  void AccumulateSample(const std::vector<graph::UserId>& users,
+                        const std::vector<graph::EdgeId>& following,
+                        const std::vector<graph::EdgeId>& tweeting);
+
+  /// Fills every accumulator row outside the masks (per user / following
+  /// / tweeting relationship) as if AccumulateSample() had run over it in
+  /// each accumulated sample: those rows held still through the restricted
+  /// sweeps, so each is accumulated_samples() × its current value — ϕ,
+  /// the one-hot x/y/z slot, μ/ν — and the held edges' distances land
+  /// that many times in the EM histogram. Counts are integer-valued, so
+  /// the products equal the repeated sums exactly.
+  void CloseHeldAccumulators(const std::vector<uint8_t>& user_mask,
+                             const std::vector<uint8_t>& following_mask,
+                             const std::vector<uint8_t>& tweeting_mask);
+
   /// Home estimate per user from the *current* counts (used for the
   /// convergence trace and by callers that probe mid-run state).
   std::vector<geo::CityId> CurrentHomes() const;
@@ -171,12 +231,24 @@ class GibbsSampler {
   /// current state when nothing was accumulated).
   MlpResult BuildResult() const;
 
+  /// Rebuilds only the rows of `users`, `following` and `tweeting` in
+  /// `result` (already sized to the graph), each exactly as BuildResult
+  /// would, plus the trace and (α, β); every other row is left alone.
+  void BuildResultRows(const std::vector<graph::UserId>& users,
+                       const std::vector<graph::EdgeId>& following,
+                       const std::vector<graph::EdgeId>& tweeting,
+                       MlpResult* result) const;
+
   int accumulated_samples() const { return accumulated_samples_; }
 
   // ---- checkpoint / warm-start API (used by core::MlpModel and io/) ----
 
   /// Copies the complete restorable state out of the sampler.
   void SaveState(SamplerState* state) const;
+
+  /// SaveState for a caller done with the sampler: moves the buffers out
+  /// instead of copying them, leaving the sampler unusable.
+  void MoveStateTo(SamplerState* state);
 
   /// Restores a state captured by SaveState on a sampler built over the
   /// same (input, config, candidate space) — the space's activation state
@@ -191,12 +263,13 @@ class GibbsSampler {
   /// Adopts a migrated chain over a merged graph: `chain` covers the old
   /// graph's edge prefix (indices already remapped onto this sampler's
   /// space), the appended edges draw initial assignments from the priors
-  /// using `rng` exactly as Initialize does, and ϕ/φ are rebuilt from the
-  /// full chain. Counts are integer-valued, so edges the delta never
-  /// touches reproduce their users' arena rows bit for bit. Accumulators
-  /// reset; the convergence trace continues from the carried history.
-  /// Replaces Initialize/RestoreState for the ingest path.
-  Status AdoptMigratedChain(const MigratedChain& chain, Pcg32* rng);
+  /// using `rng` exactly as Initialize does, the carried counts are taken
+  /// over, and the ϕ rows of `chain.recount` are rebuilt from their
+  /// users' relationships. Counts are integer-valued, so the result equals
+  /// rebuilding ϕ/φ from the whole chain bit for bit. Accumulators reset;
+  /// the convergence trace continues from the carried history. Replaces
+  /// Initialize/RestoreState for the ingest path.
+  Status AdoptMigratedChain(MigratedChain chain, Pcg32* rng);
 
   // ---- candidate-space compaction (used by engine::ParallelGibbsEngine) --
 
@@ -279,6 +352,11 @@ class GibbsSampler {
   /// each delta merge.
   void RecordSweepTrace();
 
+  /// Same, re-deriving the homes of `users` only: a restricted resample
+  /// sweep moves no other user's counts, so no other home can flip. The
+  /// flip rate still divides by the whole population.
+  void RecordSweepTrace(const std::vector<graph::UserId>& users);
+
   /// Exact allocated bytes of the sampler: chain state, the global arena,
   /// and the post-burn-in accumulators (including the ragged per-edge
   /// rows — an O(edges) walk, so call at barriers, not per edge).
@@ -295,6 +373,26 @@ class GibbsSampler {
   /// Builds the arena binding and the input-derived per-edge buffers —
   /// everything Initialize sets up that does not consume randomness.
   void PrepareBuffers();
+
+  /// Sizes every accumulator row to its user's active candidate count (on
+  /// the first sample after a reset).
+  void SizeAccumulatorRows();
+  void AccumulateFollowing(graph::EdgeId s);
+  void AccumulateTweeting(graph::EdgeId k);
+  /// Adds one held or sampled following edge's assignment distance to the
+  /// EM histogram `times` times (location-based edges between two labeled
+  /// users only).
+  void AccumulateEdgeDistance(graph::EdgeId s, double times);
+  /// θ̂_u (Eq. 10) from the accumulators, or the current counts when
+  /// nothing was accumulated.
+  LocationProfile UserProfile(graph::UserId u) const;
+  FollowingExplanation ExplainFollowing(graph::EdgeId s) const;
+  TweetExplanation ExplainTweeting(graph::EdgeId k) const;
+  /// Argmax of (ϕ + γ) over u's active row — the current home estimate.
+  geo::CityId CurrentHome(graph::UserId u) const;
+  /// Appends `changed` flips out of the whole population to the trace and
+  /// publishes the fit-health gauges.
+  void PushSweepTrace(int changed);
 
   double VenueProb(geo::CityId location, graph::VenueId venue,
                    const SuffStatsArena& stats) const;
@@ -341,10 +439,10 @@ class GibbsSampler {
   // Post-burn-in accumulators. acc_phi_ shares the arena layout.
   int accumulated_samples_ = 0;
   std::vector<double> acc_phi_;
-  std::vector<std::vector<float>> acc_x_;   // [edge][candidate of follower]
-  std::vector<std::vector<float>> acc_y_;
+  AccumulatorRows acc_x_;   // [edge][candidate of follower]
+  AccumulatorRows acc_y_;   // [edge][candidate of friend]
   std::vector<double> acc_mu_;
-  std::vector<std::vector<float>> acc_z_;
+  AccumulatorRows acc_z_;   // [edge][candidate of tweeter]
   std::vector<double> acc_nu_;
   std::vector<double> acc_edge_distance_;   // 1-mile histogram
   std::vector<uint8_t> edge_both_labeled_;  // per following edge

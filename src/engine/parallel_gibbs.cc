@@ -62,6 +62,19 @@ ParallelGibbsEngine::ParallelGibbsEngine(core::GibbsSampler* sampler,
                                          const core::ModelInput* input,
                                          const core::MlpConfig* config,
                                          core::CandidateSpace* space)
+    : ParallelGibbsEngine(
+          sampler, input, config, space,
+          config->num_threads > 1
+              ? GraphSharder::Partition(*input->graph,
+                                        config->num_threads *
+                                            kSubShardsPerThread)
+              : std::vector<Shard>()) {}
+
+ParallelGibbsEngine::ParallelGibbsEngine(core::GibbsSampler* sampler,
+                                         const core::ModelInput* input,
+                                         const core::MlpConfig* config,
+                                         core::CandidateSpace* space,
+                                         std::vector<Shard> partition)
     : sampler_(sampler),
       input_(input),
       config_(config),
@@ -70,9 +83,14 @@ ParallelGibbsEngine::ParallelGibbsEngine(core::GibbsSampler* sampler,
       sync_every_(std::max(1, config->sync_every_sweeps)) {
   MLP_CHECK(sampler_ != nullptr && input_ != nullptr && config_ != nullptr);
   if (num_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
     const int num_sub = num_threads_ * kSubShardsPerThread;
-    shards_ = GraphSharder::Partition(*input_->graph, num_sub);
+    MLP_CHECK(!partition.empty() &&
+              static_cast<int>(partition.size()) <= num_sub);
+    size_t users = 0;
+    for (const Shard& shard : partition) users += shard.users.size();
+    MLP_CHECK(users == static_cast<size_t>(input_->graph->num_users()));
+    pool_ = std::make_unique<ThreadPool>(num_threads_);
+    shards_ = std::move(partition);
     shard_rngs_.reserve(num_sub);
     for (int k = 0; k < num_sub; ++k) {
       // Decorrelated per-sub-shard streams derived from the base seed:
@@ -88,7 +106,6 @@ ParallelGibbsEngine::ParallelGibbsEngine(core::GibbsSampler* sampler,
     delta_accs_.resize(num_threads_);
     scratches_.resize(num_threads_);
     alias_scratches_.resize(num_threads_);
-    RebuildTouchSets();
     ResetSchedule();
   }
 }
@@ -122,6 +139,7 @@ void ParallelGibbsEngine::RebuildTouchSets() {
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   }
+  touch_sets_built_ = true;
 }
 
 void ParallelGibbsEngine::ResetSchedule() {
@@ -292,6 +310,7 @@ void ParallelGibbsEngine::MergeAndRefresh() {
 }
 
 void ParallelGibbsEngine::RunSweep(Pcg32* rng) {
+  if (num_threads_ > 1 && !touch_sets_built_) RebuildTouchSets();
   Counters().sweeps->Add(1);
   obs::ScopedSpan sweep_span(Counters().sweep_ns, "sweep");
   if (num_threads_ <= 1) {
@@ -450,38 +469,6 @@ void ParallelGibbsEngine::OnActivationRestored() {
   }
 }
 
-std::vector<int> ParallelGibbsEngine::UserShards() const {
-  std::vector<int> owner(input_->graph->num_users(), 0);
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    for (graph::UserId u : shards_[k].users) owner[u] = static_cast<int>(k);
-  }
-  return owner;
-}
-
-Status ParallelGibbsEngine::SetPartition(std::vector<Shard> shards) {
-  if (num_threads_ <= 1) return Status::OK();
-  if (static_cast<int>(shards.size()) != num_threads_) {
-    return Status::InvalidArgument(
-        "partition must have exactly one shard per thread");
-  }
-  if (!IsSynchronized()) {
-    return Status::FailedPrecondition(
-        "cannot repartition with unmerged replica deltas");
-  }
-  size_t users = 0;
-  for (const Shard& shard : shards) users += shard.users.size();
-  if (users != static_cast<size_t>(input_->graph->num_users())) {
-    return Status::InvalidArgument(
-        "partition does not cover every user exactly once");
-  }
-  shards_ = std::move(shards);
-  RebuildTouchSets();
-  ResetSchedule();
-  replicas_fresh_ = false;
-  proposals_stale_ = true;
-  return Status::OK();
-}
-
 Status ParallelGibbsEngine::BeginShardResample(
     const std::vector<int>& shard_set) {
   if (!IsSynchronized()) {
@@ -498,55 +485,70 @@ Status ParallelGibbsEngine::BeginShardResample(
     resample_shard_selected_[k] = 1;
   }
 
+  // Users of the selected shards. In the sequential path shard 0 is the
+  // whole graph.
   const graph::SocialGraph& graph = *input_->graph;
+  auto shard_users = [&](int k, auto&& visit) {
+    if (num_threads_ <= 1) {
+      for (graph::UserId u = 0; u < graph.num_users(); ++u) visit(u);
+    } else {
+      for (graph::UserId u : shards_[k].users) visit(u);
+    }
+  };
   resample_user_mask_.assign(graph.num_users(), 0);
-  if (num_threads_ <= 1) {
-    if (resample_shard_selected_[0]) {
-      resample_user_mask_.assign(graph.num_users(), 1);
-    }
-  } else {
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      if (!resample_shard_selected_[k]) continue;
-      for (graph::UserId u : shards_[k].users) resample_user_mask_[u] = 1;
-    }
-  }
   resample_users_.clear();
-  for (graph::UserId u = 0; u < graph.num_users(); ++u) {
-    if (resample_user_mask_[u]) resample_users_.push_back(u);
+  for (int k = 0; k < num_shards; ++k) {
+    if (!resample_shard_selected_[k]) continue;
+    shard_users(k, [&](graph::UserId u) {
+      resample_user_mask_[u] = 1;
+      resample_users_.push_back(u);
+    });
   }
+  std::sort(resample_users_.begin(), resample_users_.end());
 
   // Eligibility: a following edge's resample writes BOTH endpoints' ϕ
   // rows, so it may only run when both live in selected shards — that is
-  // the invariant that keeps unselected shards bit-identical. Edge lists
-  // are per owning shard so the sweep stays a per-shard loop.
-  resample_following_mask_.assign(
-      sampler_->UseFollowing() ? graph.num_following() : 0, 0);
-  resample_tweeting_mask_.assign(
-      sampler_->UseTweeting() ? graph.num_tweeting() : 0, 0);
+  // the invariant that keeps unselected shards bit-identical. Edges are
+  // found through their owners' adjacency (follower, tweeter), so the pass
+  // scales with the selected users' degrees, not the graph; each shard's
+  // list is sorted, which fixes the within-shard sweep order.
+  const bool use_following = sampler_->UseFollowing();
+  const bool use_tweeting = sampler_->UseTweeting();
+  resample_following_mask_.assign(use_following ? graph.num_following() : 0,
+                                  0);
+  resample_tweeting_mask_.assign(use_tweeting ? graph.num_tweeting() : 0, 0);
   resample_following_.assign(num_shards, {});
   resample_tweeting_.assign(num_shards, {});
-  const std::vector<int> owner =
-      num_threads_ <= 1 ? std::vector<int>(graph.num_users(), 0)
-                        : UserShards();
-  if (sampler_->UseFollowing()) {
-    for (graph::EdgeId s = 0; s < graph.num_following(); ++s) {
-      const graph::FollowingEdge& edge = graph.following(s);
-      if (resample_user_mask_[edge.follower] &&
-          resample_user_mask_[edge.friend_user]) {
-        resample_following_mask_[s] = 1;
-        resample_following_[owner[edge.follower]].push_back(s);
+  resample_following_all_.clear();
+  resample_tweeting_all_.clear();
+  for (int k = 0; k < num_shards; ++k) {
+    if (!resample_shard_selected_[k]) continue;
+    std::vector<graph::EdgeId>& following = resample_following_[k];
+    std::vector<graph::EdgeId>& tweeting = resample_tweeting_[k];
+    shard_users(k, [&](graph::UserId u) {
+      if (use_following) {
+        for (graph::EdgeId s : graph.OutEdges(u)) {
+          if (resample_user_mask_[graph.following(s).friend_user]) {
+            following.push_back(s);
+          }
+        }
       }
-    }
-  }
-  if (sampler_->UseTweeting()) {
-    for (graph::EdgeId t = 0; t < graph.num_tweeting(); ++t) {
-      const graph::TweetingEdge& edge = graph.tweeting(t);
-      if (resample_user_mask_[edge.user]) {
-        resample_tweeting_mask_[t] = 1;
-        resample_tweeting_[owner[edge.user]].push_back(t);
+      if (use_tweeting) {
+        const std::vector<graph::EdgeId>& tweets = graph.TweetEdges(u);
+        tweeting.insert(tweeting.end(), tweets.begin(), tweets.end());
       }
-    }
+    });
+    std::sort(following.begin(), following.end());
+    std::sort(tweeting.begin(), tweeting.end());
+    for (graph::EdgeId s : following) resample_following_mask_[s] = 1;
+    for (graph::EdgeId t : tweeting) resample_tweeting_mask_[t] = 1;
+    resample_following_all_.insert(resample_following_all_.end(),
+                                   following.begin(), following.end());
+    resample_tweeting_all_.insert(resample_tweeting_all_.end(),
+                                  tweeting.begin(), tweeting.end());
   }
+  std::sort(resample_following_all_.begin(), resample_following_all_.end());
+  std::sort(resample_tweeting_all_.begin(), resample_tweeting_all_.end());
   resample_active_ = true;
   return Status::OK();
 }
@@ -562,7 +564,7 @@ void ParallelGibbsEngine::ResampleShards(Pcg32* rng) {
     for (graph::EdgeId t : resample_tweeting_[0]) {
       sampler_->SampleTweetingEdge(t, stats, &scratch, rng);
     }
-    sampler_->RecordSweepTrace();
+    sampler_->RecordSweepTrace(resample_users_);
     return;
   }
 
@@ -652,7 +654,7 @@ void ParallelGibbsEngine::ResampleShards(Pcg32* rng) {
   replicas_fresh_ = false;
   proposals_stale_ = true;
   sweeps_since_sync_ = 0;
-  sampler_->RecordSweepTrace();
+  sampler_->RecordSweepTrace(resample_users_);
 }
 
 void ParallelGibbsEngine::EndShardResample() {
@@ -660,6 +662,8 @@ void ParallelGibbsEngine::EndShardResample() {
   resample_shard_selected_.clear();
   resample_following_.clear();
   resample_tweeting_.clear();
+  resample_following_all_.clear();
+  resample_tweeting_all_.clear();
 }
 
 void ParallelGibbsEngine::Synchronize() {

@@ -80,6 +80,22 @@ class ParallelGibbsEngine {
                       const core::MlpConfig* config,
                       core::CandidateSpace* space = nullptr);
 
+  /// Same, starting from `partition` — at most
+  /// kSubShardsPerThread × num_threads shards covering every user exactly
+  /// once — instead of the default sub-shard partition. Streaming ingest
+  /// builds its warm engine this way over GraphSharder::PartitionGrouped,
+  /// which packs the delta-touched users into the fewest shards their
+  /// sampling cost warrants: the smaller the selected-shard closure, the
+  /// less ResampleShards has to sweep. (The ingest partition is
+  /// deliberately coarser than the sweep path's sub-shards: the
+  /// selected-closure math wants few, tightly packed shards.) Ignored by a
+  /// sequential engine.
+  ParallelGibbsEngine(core::GibbsSampler* sampler,
+                      const core::ModelInput* input,
+                      const core::MlpConfig* config,
+                      core::CandidateSpace* space,
+                      std::vector<Shard> partition);
+
   /// Sequential initialization (identical for every thread count).
   void Initialize(Pcg32* rng);
 
@@ -123,20 +139,6 @@ class ParallelGibbsEngine {
 
   // ---- shard-scoped warm resampling (streaming ingest, src/stream/) ----
 
-  /// Shard index owning each user under the current partition. In the
-  /// sequential path there is exactly one conceptual shard (all zeros).
-  std::vector<int> UserShards() const;
-
-  /// Replaces the partition (parallel path only; no-op when sequential).
-  /// Streaming ingest uses this with GraphSharder::PartitionGrouped to
-  /// pack the delta-touched users into the fewest shards their sampling
-  /// cost warrants — the smaller the selected-shard closure, the less
-  /// ResampleShards has to sweep. Must cover every user exactly once with
-  /// exactly num_threads() shards, at a merged barrier. (The ingest
-  /// partition is deliberately coarser than the sweep path's sub-shards:
-  /// the selected-closure math wants few, tightly packed shards.)
-  Status SetPartition(std::vector<Shard> shards);
-
   /// Prepares a shard-scoped resample pass: selects the shards in
   /// `shard_set` (indices into shards(); {0} is the whole graph when
   /// sequential) and precomputes the owned edges eligible for resampling.
@@ -162,6 +164,17 @@ class ParallelGibbsEngine {
   void EndShardResample();
 
   bool resample_active() const { return resample_active_; }
+  /// The open pass's users (ascending) and eligible relationships
+  /// (ascending, across all selected shards) — the only rows it moves.
+  const std::vector<graph::UserId>& resample_users() const {
+    return resample_users_;
+  }
+  const std::vector<graph::EdgeId>& resample_following() const {
+    return resample_following_all_;
+  }
+  const std::vector<graph::EdgeId>& resample_tweeting() const {
+    return resample_tweeting_all_;
+  }
   const std::vector<uint8_t>& resample_user_mask() const {
     return resample_user_mask_;
   }
@@ -231,7 +244,8 @@ class ParallelGibbsEngine {
   void ReshardByCost();
   /// Derives each sub-shard's touched-user set (both endpoints of owned
   /// following edges, owners of owned tweets) — the rows FoldShardDelta
-  /// walks.
+  /// walks. Built on the first RunSweep, since an engine that only runs
+  /// ResampleShards never needs them.
   void RebuildTouchSets();
   /// Clears the EWMA measurements and seeds the submit order from the
   /// static shard weights (edge counts) until real timings arrive.
@@ -247,11 +261,12 @@ class ParallelGibbsEngine {
   std::unique_ptr<ThreadPool> pool_;    // null in the sequential path
   std::vector<Shard> shards_;           // sub-shards (work-queue granularity)
   /// One persistent stream per sub-shard SLOT (kSubShardsPerThread ×
-  /// num_threads, fixed for the engine's lifetime even when SetPartition
-  /// installs a coarser partition): the chain consumes stream k exactly for
+  /// num_threads, fixed for the engine's lifetime even when the engine
+  /// was built over a coarser partition): the chain consumes stream k exactly for
   /// sub-shard k, so determinism is independent of scheduling.
   std::vector<Pcg32> shard_rngs_;
   std::vector<std::vector<graph::UserId>> touch_users_;  // per sub-shard
+  bool touch_sets_built_ = false;
 
   // Per-WORKER state, addressed via ThreadPool::CurrentWorkerIndex().
   std::vector<core::SuffStatsArena> replicas_;
@@ -285,6 +300,8 @@ class ParallelGibbsEngine {
   std::vector<uint8_t> resample_tweeting_mask_;     // per tweeting edge
   std::vector<std::vector<graph::EdgeId>> resample_following_;  // per shard
   std::vector<std::vector<graph::EdgeId>> resample_tweeting_;   // per shard
+  std::vector<graph::EdgeId> resample_following_all_;           // ascending
+  std::vector<graph::EdgeId> resample_tweeting_all_;            // ascending
   /// Users of the selected shards (ascending) — the only ϕ rows the
   /// restricted sweep reads or writes, so replica refresh/merge copies
   /// exactly these row ranges instead of the whole arena.

@@ -1,7 +1,9 @@
 #include "io/csv.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace mlp {
@@ -101,9 +103,16 @@ std::string PathJoin(const std::string& dir, const std::string& name) {
 
 Result<int> ParseIntField(const std::string& field, const char* what) {
   char* end = nullptr;
-  long value = std::strtol(field.c_str(), &end, 10);
+  errno = 0;
+  const long value = std::strtol(field.c_str(), &end, 10);
   if (end == field.c_str() || *end != '\0') {
     return Status::InvalidArgument(std::string("bad ") + what + " field: '" +
+                                   field + "'");
+  }
+  // An out-of-range id must not wrap onto a real one (4294967296 → 0).
+  if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(std::string(what) + " field out of range: '" +
                                    field + "'");
   }
   return static_cast<int>(value);

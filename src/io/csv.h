@@ -31,7 +31,8 @@ Status WriteCsvFile(const std::string& path,
 /// path-join used by every CSV dataset/delta reader and writer.
 std::string PathJoin(const std::string& dir, const std::string& name);
 
-/// Strictly parses a whole CSV field as a decimal integer; `what` names
+/// Strictly parses a whole CSV field as a decimal integer in int range
+/// (anything else, overflow included, is InvalidArgument); `what` names
 /// the field in the error. Shared by the dataset and delta parsers so a
 /// format tweak lands in exactly one place.
 Result<int> ParseIntField(const std::string& field, const char* what);

@@ -32,11 +32,15 @@ class BinaryWriter {
   }
   template <typename T>
   void PutVector(const std::vector<T>& v) {
+    PutSpan(v.data(), v.size());
+  }
+  /// Same bytes as PutVector of a vector holding data[0, count).
+  template <typename T>
+  void PutSpan(const T* data, size_t count) {
     static_assert(std::is_arithmetic<T>::value, "no padding allowed");
-    Put<uint64_t>(v.size());
-    if (!v.empty()) {
-      buffer_.append(reinterpret_cast<const char*>(v.data()),
-                     v.size() * sizeof(T));
+    Put<uint64_t>(count);
+    if (count > 0) {
+      buffer_.append(reinterpret_cast<const char*>(data), count * sizeof(T));
     }
   }
   const std::string& buffer() const { return buffer_; }
@@ -65,16 +69,22 @@ class BinaryReader {
   }
   template <typename T>
   void GetVector(std::vector<T>* out) {
+    out->clear();
+    AppendVector(out);
+  }
+  /// Reads one length-prefixed vector and appends its elements to `out`.
+  template <typename T>
+  void AppendVector(std::vector<T>* out) {
     static_assert(std::is_arithmetic<T>::value, "no padding allowed");
     uint64_t count = Get<uint64_t>();
     if (failed_ || count > (size_ - pos_) / sizeof(T)) {
       failed_ = true;
-      out->clear();
       return;
     }
-    out->resize(count);
+    const size_t begin = out->size();
+    out->resize(begin + count);
     if (count > 0) {
-      std::memcpy(out->data(), data_ + pos_, count * sizeof(T));
+      std::memcpy(out->data() + begin, data_ + pos_, count * sizeof(T));
       pos_ += count * sizeof(T);
     }
   }
@@ -191,17 +201,23 @@ Pcg32State GetRng(BinaryReader* r) {
   return s;
 }
 
-void PutRagged(BinaryWriter* w, const std::vector<std::vector<float>>& rows) {
-  w->Put<uint64_t>(rows.size());
-  for (const std::vector<float>& row : rows) w->PutVector(row);
+// Accumulator rows go to disk row by row — a row count, then each row as
+// a length-prefixed vector — the layout the per-edge vectors they replaced
+// had, so snapshot bytes did not change with the flat representation.
+void PutRagged(BinaryWriter* w, const core::AccumulatorRows& rows) {
+  w->Put<uint64_t>(rows.rows());
+  for (size_t e = 0; e < rows.rows(); ++e) {
+    w->PutSpan(rows.row(e), static_cast<size_t>(rows.row_size(e)));
+  }
 }
 
-void GetRagged(BinaryReader* r, std::vector<std::vector<float>>* rows) {
+void GetRagged(BinaryReader* r, core::AccumulatorRows* rows) {
   uint64_t count = r->Get<uint64_t>();
-  rows->clear();
+  rows->offset.assign(1, 0);
+  rows->values.clear();
   for (uint64_t i = 0; i < count && !r->failed(); ++i) {
-    rows->emplace_back();
-    r->GetVector(&rows->back());
+    r->AppendVector(&rows->values);
+    rows->offset.push_back(static_cast<int64_t>(rows->values.size()));
   }
 }
 

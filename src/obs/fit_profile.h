@@ -42,14 +42,14 @@ inline constexpr char kFitActiveCandidateSlots[] =
 // ApplyDelta → serve::ReadModel::Patch in stream::LiveIngestor), in call
 // order; together they tile ingest_apply_ns (src/stream/README.md):
 //   merge           MergeDelta: the delta appended to the graph;
-//   migrate         validation, candidate-space rebuild and activation
-//                   carry, chain remap, AdoptMigratedChain;
-//   resample_setup  random models, PowTable, sampler/engine construction,
-//                   grouped partition, BeginShardResample;
+//   migrate         validation, candidate-space derivation and
+//                   activation carry, chain remap, AdoptMigratedChain;
+//   resample_setup  random models, PowTable, grouped partition,
+//                   sampler/engine construction, BeginShardResample;
 //   resample        the warm burn + sampling sweeps;
-//   result_merge    SaveState into the checkpoint, BuildResult, carrying
-//                   untouched rows from the base result, freeing the
-//                   warm machinery;
+//   result_merge    result rows of the resampled users/edges over the
+//                   base result, the held accumulators in closed form,
+//                   the checkpoint, freeing the warm machinery;
 //   publish         the live ingestor's ReadModel::Patch.
 inline constexpr char kIngestMergeNs[] = "ingest_merge_ns";
 inline constexpr char kIngestMigrateNs[] = "ingest_migrate_ns";

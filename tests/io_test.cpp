@@ -3,6 +3,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +85,28 @@ TEST(CsvTest, ReadMissingFileErrors) {
   auto result = ReadCsvFile("/nonexistent/definitely/not/here.csv");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError());
+}
+
+TEST(CsvTest, ParseIntFieldAcceptsTheIntRange) {
+  EXPECT_EQ(ParseIntField("0", "id").ValueOrDie(), 0);
+  EXPECT_EQ(ParseIntField("-1", "id").ValueOrDie(), -1);
+  EXPECT_EQ(ParseIntField("2147483647", "id").ValueOrDie(), 2147483647);
+  EXPECT_EQ(ParseIntField("-2147483648", "id").ValueOrDie(),
+            std::numeric_limits<int>::min());
+}
+
+TEST(CsvTest, ParseIntFieldRejectsOutOfRangeValues) {
+  // Each of these used to wrap onto a small id: 2^32 read as 0, 2^32 + 1
+  // as 1, -(2^32 - 1) as 1.
+  for (const char* field :
+       {"4294967296", "4294967297", "-4294967295", "4294967298",
+        "2147483648", "-2147483649", "99999999999999999999999999"}) {
+    Result<int> parsed = ParseIntField(field, "id");
+    EXPECT_FALSE(parsed.ok()) << field;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << field;
+  }
+  EXPECT_FALSE(ParseIntField("", "id").ok());
+  EXPECT_FALSE(ParseIntField("12x", "id").ok());
 }
 
 TEST(CsvTest, TsvSeparatorSupported) {
@@ -231,6 +257,38 @@ TEST(DatasetIoTest, SaveWithoutTruthLoadsWithoutTruth) {
   EXPECT_FALSE(loaded->has_truth);
   EXPECT_EQ(loaded->graph.num_users(), 2);
   EXPECT_EQ(loaded->graph.user(0).profile_location, "Austin, TX");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DatasetIoTest, OutOfRangeIdsFailToLoad) {
+  graph::SocialGraph g(2);
+  g.AddUser({});
+  g.AddUser({});
+  ASSERT_TRUE(g.AddFollowing(0, 1).ok());
+  g.Finalize();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "mlp_dataset_range").string();
+  // Rows that alias real ids when the parsed long is cut to int: the edge
+  // 0 -> 1, and user 1 tweeting venue 2.
+  const std::vector<std::pair<std::string, std::string>> bad_rows = {
+      {"following.csv", "4294967296,4294967297\n"},
+      {"tweeting.csv", "-4294967295,4294967298\n"},
+  };
+  for (const auto& [file, row] : bad_rows) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(SaveDataset(dir, g, nullptr).ok());
+    ASSERT_TRUE(LoadDataset(dir, 8).ok());
+    std::FILE* f = std::fopen((dir + "/" + file).c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    std::fputs(row.c_str(), f);
+    std::fclose(f);
+    Result<LoadedDataset> loaded = LoadDataset(dir, 8);
+    EXPECT_FALSE(loaded.ok()) << file;
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().IsInvalidArgument()) << file;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

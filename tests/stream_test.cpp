@@ -1,21 +1,30 @@
 // Streaming delta ingest (ISSUE 5 / ROADMAP "streaming updates"):
 //   - an empty delta is a strict no-op (bit-identical snapshot),
 //   - malformed deltas are rejected with clear errors (duplicate user
-//     handle, unknown user id, unknown venue),
+//     handle, unknown user id, unknown venue, an id out of int range),
 //   - ingest-then-save-then-load equals ingest-in-memory byte for byte,
 //   - shards the delta never touched keep bit-identical counts and chain
 //     state (the core locality guarantee of shard-scoped resampling),
+//   - the apply's result rows and closed-form accumulator rows equal
+//     what a restored sampler and accumulating every row would give,
 //   - serve::ModelServer::SwapReadModel atomically publishes the
 //     post-ingest view to a running server.
 
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_space.h"
 #include "core/model.h"
+#include "core/pow_table.h"
+#include "core/random_models.h"
+#include "core/sampler.h"
 #include "io/model_snapshot.h"
 #include "serve/model_server.h"
 #include "serve/read_model.h"
@@ -173,6 +182,29 @@ TEST(DeltaBatchTest, UnknownVenueRejected) {
   EXPECT_NE(merged.status().message().find("unknown venue"),
             std::string::npos)
       << merged.status().ToString();
+}
+
+TEST(DeltaBatchTest, OutOfRangeIdsRejectedAtLoad) {
+  // Each row aliases a real id when the parsed long is cut to int: the
+  // edge 0 -> 1, and user 1 tweeting venue 2. MergeDelta would accept
+  // both, so the load itself must refuse them.
+  const std::vector<std::pair<std::string, std::string>> bad_files = {
+      {"following.csv", "follower,friend\n4294967296,4294967297\n"},
+      {"tweeting.csv", "user,venue\n-4294967295,4294967298\n"},
+  };
+  for (const auto& [file, content] : bad_files) {
+    const std::string dir = TempPath("range_delta_" + file);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/" + file) << content;
+    Result<DeltaBatch> delta = LoadDeltaBatch(dir);
+    EXPECT_FALSE(delta.ok()) << file;
+    if (!delta.ok()) {
+      EXPECT_NE(delta.status().message().find("out of range"),
+                std::string::npos)
+          << delta.status().ToString();
+    }
+  }
 }
 
 // ------------------------------------------------------------ no-op delta
@@ -376,6 +408,234 @@ TEST(DeltaIngestTest, SecondIngestStacksOnFirst) {
             checkpoint.activation.layout_version + 2);
   EXPECT_EQ(static_cast<int>(second->result.home.size()),
             world.graph->num_users() + 3);
+}
+
+// ------------------------------------------- O(delta) apply vs. oracles
+
+// The apply builds result rows and accumulates only over the rows its
+// resample pass moves, and writes every other accumulator row in closed
+// form. Oracles, after each of three chained batches at 1, 2 and 4
+// threads: resampled result rows equal BuildResult() of a sampler restored
+// from the output checkpoint; every other row is base_result's; every
+// held accumulator row is k × its current value.
+class ApplyOracle {
+ public:
+  ApplyOracle(const core::ModelInput& input, const core::MlpConfig& config,
+              const core::FitCheckpoint& checkpoint)
+      : input_(input),
+        config_(config),
+        space_(core::CandidateSpace::Build(input, config)),
+        random_models_(core::RandomModels::Learn(*input.graph)),
+        pow_table_(input.distances, checkpoint.progress.alpha,
+                   config.distance_floor_miles) {
+    config_.alpha = checkpoint.progress.alpha;
+    config_.beta = checkpoint.progress.beta;
+    EXPECT_TRUE(space_.RestoreActivation(checkpoint.activation).ok());
+  }
+  const core::CandidateSpace& space() const { return space_; }
+
+  core::MlpResult Restored(const core::FitCheckpoint& checkpoint) {
+    core::GibbsSampler sampler(&input_, &config_, &space_, &random_models_,
+                               &pow_table_);
+    Status restored = sampler.RestoreState(checkpoint.sampler);
+    EXPECT_TRUE(restored.ok()) << restored.ToString();
+    return sampler.BuildResult();
+  }
+
+ private:
+  core::ModelInput input_;
+  core::MlpConfig config_;
+  core::CandidateSpace space_;
+  core::RandomModels random_models_;
+  core::PowTable pow_table_;
+};
+
+void ExpectApplyMatchesOracles(const core::ModelInput& base_input,
+                               const core::MlpResult& base_result,
+                               const IngestOutput& out, int k) {
+  const core::DeltaReport& report = out.report;
+  const core::MlpConfig& config = out.checkpoint.config;
+  const core::ModelInput merged = MergedInput(base_input, out);
+  ApplyOracle oracle(merged, config, out.checkpoint);
+  const core::MlpResult restored = oracle.Restored(out.checkpoint);
+  const core::MlpResult& result = out.result;
+  const core::SamplerState& state = out.checkpoint.sampler;
+  const int old_users = base_input.graph->num_users();
+  ASSERT_EQ(state.accumulated_samples, k);
+
+  int resampled_users = 0;
+  for (graph::UserId u = 0; u < merged.graph->num_users(); ++u) {
+    if (report.user_resampled[u]) {
+      ++resampled_users;
+      EXPECT_EQ(result.profiles[u].entries(), restored.profiles[u].entries())
+          << "user " << u;
+      EXPECT_EQ(result.home[u], restored.home[u]) << "user " << u;
+      continue;
+    }
+    ASSERT_LT(u, old_users) << "a new user was not resampled";
+    EXPECT_EQ(result.profiles[u].entries(),
+              base_result.profiles[u].entries())
+        << "user " << u;
+    EXPECT_EQ(result.home[u], base_result.home[u]) << "user " << u;
+    const int64_t begin = report.phi_offset[u];
+    const int64_t end = report.phi_offset[u + 1];
+    for (int64_t i = begin; i < end; ++i) {
+      ASSERT_EQ(state.acc_phi[i], k * state.phi[i]) << "user " << u;
+    }
+  }
+  EXPECT_GT(resampled_users, 0);
+
+  auto expect_one_hot = [&](const core::AccumulatorRows& rows, size_t e,
+                            int32_t slot, int expected_size) {
+    ASSERT_EQ(rows.row_size(e), expected_size) << "edge " << e;
+    for (int l = 0; l < rows.row_size(e); ++l) {
+      ASSERT_EQ(rows.row(e)[l], l == slot ? static_cast<float>(k) : 0.0f)
+          << "edge " << e << " slot " << l;
+    }
+  };
+  const graph::SocialGraph& graph = *merged.graph;
+  for (graph::EdgeId s = 0; s < graph.num_following(); ++s) {
+    const core::FollowingExplanation& got = result.following[s];
+    if (report.following_resampled[s]) {
+      EXPECT_EQ(got.x, restored.following[s].x) << "edge " << s;
+      EXPECT_EQ(got.y, restored.following[s].y) << "edge " << s;
+      EXPECT_EQ(got.noise_prob, restored.following[s].noise_prob);
+      continue;
+    }
+    ASSERT_LT(s, static_cast<graph::EdgeId>(base_result.following.size()));
+    EXPECT_EQ(got.x, base_result.following[s].x) << "edge " << s;
+    EXPECT_EQ(got.y, base_result.following[s].y) << "edge " << s;
+    EXPECT_EQ(got.noise_prob, base_result.following[s].noise_prob);
+    const graph::FollowingEdge& edge = graph.following(s);
+    expect_one_hot(state.acc_x, s, state.x_idx[s],
+                   oracle.space().view(edge.follower).size());
+    expect_one_hot(state.acc_y, s, state.y_idx[s],
+                   oracle.space().view(edge.friend_user).size());
+    ASSERT_EQ(state.acc_mu[s], k * static_cast<double>(state.mu[s]));
+  }
+  for (graph::EdgeId t = 0; t < graph.num_tweeting(); ++t) {
+    const core::TweetExplanation& got = result.tweeting[t];
+    if (report.tweeting_resampled[t]) {
+      EXPECT_EQ(got.z, restored.tweeting[t].z) << "tweet " << t;
+      EXPECT_EQ(got.noise_prob, restored.tweeting[t].noise_prob);
+      continue;
+    }
+    ASSERT_LT(t, static_cast<graph::EdgeId>(base_result.tweeting.size()));
+    EXPECT_EQ(got.z, base_result.tweeting[t].z) << "tweet " << t;
+    EXPECT_EQ(got.noise_prob, base_result.tweeting[t].noise_prob);
+    expect_one_hot(state.acc_z, t, state.z_idx[t],
+                   oracle.space().view(graph.tweeting(t).user).size());
+    ASSERT_EQ(state.acc_nu[t], k * static_cast<double>(state.nu[t]));
+  }
+}
+
+// A batch whose new users, all registered at a city outside `target`'s
+// candidate row, follow `target`: with max_candidates == 2 the new city
+// outvotes the weaker of the row's two cities, which drops out of the row
+// and redirects every assignment that pointed at it.
+DeltaBatch CrowdingDelta(const core::ModelInput& input,
+                         const core::FitCheckpoint& checkpoint,
+                         const core::MlpConfig& config) {
+  const graph::SocialGraph& graph = *input.graph;
+  core::CandidateSpace space = core::CandidateSpace::Build(input, config);
+  EXPECT_TRUE(space.RestoreActivation(checkpoint.activation).ok());
+  // Slots some assignment points at, per user.
+  std::vector<std::vector<uint8_t>> used(graph.num_users());
+  for (graph::UserId u = 0; u < graph.num_users(); ++u) {
+    used[u].assign(space.view(u).size(), 0);
+  }
+  for (graph::EdgeId s = 0; s < graph.num_following(); ++s) {
+    used[graph.following(s).follower][checkpoint.sampler.x_idx[s]] = 1;
+    used[graph.following(s).friend_user][checkpoint.sampler.y_idx[s]] = 1;
+  }
+  for (graph::EdgeId t = 0; t < graph.num_tweeting(); ++t) {
+    used[graph.tweeting(t).user][checkpoint.sampler.z_idx[t]] = 1;
+  }
+  // The unlabeled user with both slots in use and the fewest candidate
+  // observations (each neighbor label or venue referent is one vote).
+  graph::UserId target = -1;
+  size_t best_votes = 0;
+  for (graph::UserId u = 0; u < graph.num_users(); ++u) {
+    if (input.IsLabeled(u) || space.full_count(u) != 2 ||
+        space.view(u).size() != 2 || !used[u][0] || !used[u][1]) {
+      continue;
+    }
+    size_t votes = graph.OutEdges(u).size() + graph.InEdges(u).size();
+    for (graph::EdgeId t : graph.TweetEdges(u)) {
+      votes += (*input.venue_referents)[graph.tweeting(t).venue].size();
+    }
+    if (target < 0 || votes < best_votes) {
+      target = u;
+      best_votes = votes;
+    }
+  }
+  EXPECT_GE(target, 0) << "no user with two used slots";
+  geo::CityId city = 0;
+  while (space.SlotOf(target, city) >= 0) ++city;
+  DeltaBatch delta;
+  for (size_t i = 0; i <= best_votes; ++i) {
+    graph::UserRecord record;
+    record.handle = "crowd_" + std::to_string(graph.num_users()) + "_" +
+                    std::to_string(i);
+    record.registered_city = city;
+    delta.users.push_back(record);
+    delta.following.push_back(
+        {graph.num_users() + static_cast<graph::UserId>(i), target});
+  }
+  return delta;
+}
+
+TEST(DeltaIngestTest, ApplyMatchesRestoredAndClosedFormOracles) {
+  synth::SyntheticWorld world = TestWorld(300, 23);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    FitHarness harness(world);
+    core::MlpConfig config = SmallConfig(threads);
+    config.max_candidates = 2;
+    core::FitCheckpoint checkpoint;
+    core::MlpResult result = FitBase(harness.input, config, &checkpoint);
+    IngestOptions options;
+    const int k = options.resample_sampling;
+
+    // 1: edges only between existing users.
+    DeltaBatch existing;
+    existing.following = {{3, 17}, {42, 5}, {120, 250}};
+    existing.tweeting = {{8, 1}, {77, 4}};
+    // 2: labeled newcomers from one city whom several existing users
+    // follow — three votes put the city into their rows.
+    DeltaBatch growing;
+    for (int i = 0; i < 3; ++i) {
+      graph::UserRecord newcomer;
+      newcomer.handle = "oracle_newcomer_" + std::to_string(i);
+      newcomer.registered_city = 11;
+      growing.users.push_back(newcomer);
+      for (graph::UserId u : {2, 9, 31, 64, 150, 222}) {
+        growing.following.push_back({u, world.graph->num_users() + i});
+      }
+    }
+    growing.tweeting = {{world.graph->num_users(), 6}};
+
+    core::ModelInput input = harness.input;
+    std::vector<std::unique_ptr<IngestOutput>> steps;
+    for (int batch = 0; batch < 3; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      const DeltaBatch delta =
+          batch == 0 ? existing
+                     : batch == 1 ? growing
+                                  : CrowdingDelta(input, checkpoint, config);
+      Result<IngestOutput> out =
+          ApplyDeltaBatch(input, checkpoint, result, delta, options);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      if (batch == 0) EXPECT_EQ(out->report.new_users, 0);
+      if (batch == 1) EXPECT_GT(out->report.migrated_rows, 0);
+      if (batch == 2) EXPECT_GT(out->report.redirected_assignments, 0);
+      ExpectApplyMatchesOracles(input, result, *out, k);
+      steps.push_back(std::make_unique<IngestOutput>(std::move(*out)));
+      input = MergedInput(input, *steps.back());
+      checkpoint = steps.back()->checkpoint;
+      result = steps.back()->result;
+    }
+  }
 }
 
 // --------------------------------------------------- serve-layer handoff

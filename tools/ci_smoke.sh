@@ -58,6 +58,25 @@ fit_ingest() {
     --delta "$work/delta" --save "$work/model2.snap" \
     --save-data "$work/data2"
   "$mlpctl" eval --data "$work/data2" --load "$work/model2.snap"
+  # Ingest is a pure function of its inputs: a repeat run writes the same
+  # bytes.
+  "$mlpctl" ingest --data "$work/data" --load "$work/model.snap" \
+    --delta "$work/delta" --save "$work/model2_again.snap"
+  cmp "$work/model2.snap" "$work/model2_again.snap" \
+    || { log "repeated ingest wrote different snapshot bytes"; exit 1; }
+
+  # Chained: a second batch onto the ingested model that only adds
+  # relationships between existing users.
+  mkdir -p "$work/delta2"
+  printf 'handle,profile_location,registered_city\n' > "$work/delta2/users.csv"
+  printf 'follower,friend\n1,2\n%s,7\n20,%s\n' "$users" "$((users + 1))" \
+    > "$work/delta2/following.csv"
+  printf 'user,venue\n4,9\n%s,11\n' "$((users + 1))" \
+    > "$work/delta2/tweeting.csv"
+  "$mlpctl" ingest --data "$work/data2" --load "$work/model2.snap" \
+    --delta "$work/delta2" --save "$work/model3.snap" \
+    --save-data "$work/data3"
+  "$mlpctl" eval --data "$work/data3" --load "$work/model3.snap"
   log "fit_ingest OK"
 }
 
